@@ -1,6 +1,6 @@
-(* N2: live chaos soak — the real multi-process cluster over UDP with
-   genuine datagram loss and duplication injected by the deterministic
-   fault shim, timed end to end.
+(* N2: live chaos soak — the single-CS cluster preset of the lock service
+   over UDP with genuine datagram loss and duplication injected by the
+   deterministic fault shim, timed end to end.
 
    Where N1 measures the runtime on a clean loopback, N2 measures what
    the reliability layer costs when the network actually misbehaves: the
@@ -10,7 +10,7 @@
    entry. The fault schedule is a pure function of the seed, so the
    figures are comparable run over run. *)
 
-module Cluster = Dmx_net.Cluster
+module Swarm = Dmx_service.Swarm
 module Chaos = Dmx_net.Chaos
 module E = Dmx_sim.Engine
 
@@ -21,34 +21,33 @@ let run () =
   let loss = if quick then 0.10 else 0.20 in
   let cfg =
     {
-      (Cluster.default ~n) with
-      Cluster.protocol = "ft-delay-optimal";
+      (Swarm.cluster ~n ~rounds ~cs:0.001) with
+      Swarm.protocol = "ft-delay-optimal";
       transport = "udp";
       chaos = { Chaos.no_faults with Chaos.loss; duplication = 0.05 };
-      rounds;
       seed = 7;
       timeout = 180.0;
     }
   in
-  match Cluster.run cfg with
+  match Swarm.run cfg with
   | Error e -> failwith ("cluster-chaos: " ^ e)
   | Ok o ->
-    let r = o.Cluster.report in
-    let totals = Cluster.live_totals o in
-    let get k = match List.assoc_opt k totals with Some v -> v | None -> 0 in
+    let shard = o.per_shard.(0) in
+    let r = Swarm.report ~protocol:cfg.protocol ~quorum:cfg.quorum ~n o in
+    let get = Dmx_obs.Snapshot.total (Swarm.merged_snapshot o) in
     let sent = get "transport.sent" in
     let retx = get "reliable.retransmits" in
     Printf.printf
       "cluster-chaos: n=%d rounds=%d loss=%.2f dup=0.05 executions=%d \
        wall=%.2fs cs/sec=%.1f injected-lost=%d injected-dup=%d retx=%d \
        retx/sent=%.3f dup-drops=%d violations=%d oracle=%s\n%!"
-      n rounds loss r.E.executions o.Cluster.wall_seconds
-      (float_of_int r.E.executions /. o.Cluster.wall_seconds)
+      n rounds loss r.E.executions o.wall_seconds
+      (float_of_int r.E.executions /. o.wall_seconds)
       (get "chaos.lost") (get "chaos.duplicated") retx
       (if sent > 0 then float_of_int retx /. float_of_int sent else 0.0)
       (get "reliable.dup_drops") r.E.violations
-      (if Dmx_sim.Oracle.ok o.Cluster.verdict then "ok" else "REJECTED");
-    if r.E.violations > 0 || not (Dmx_sim.Oracle.ok o.Cluster.verdict) then
+      (if Dmx_sim.Oracle.ok shard.verdict then "ok" else "REJECTED");
+    if not (Swarm.shard_ok shard) then
       failwith "cluster-chaos: safety check failed";
     if get "chaos.lost" = 0 then
       failwith "cluster-chaos: the shim injected no loss — nothing was soaked";

@@ -7,13 +7,12 @@
    dmx-sim quorums   -- print and validate a quorum construction
    dmx-sim avail     -- availability sweep for a construction
    dmx-sim trace     -- short annotated execution trace of a run
-   dmx-sim cluster   -- run a real multi-process cluster over TCP
-   dmx-sim node      -- one networked protocol site (cluster member)
+   dmx-sim cluster   -- run a real multi-process cluster over TCP/UDP
+   dmx-sim swarm     -- the sharded lock service under a client swarm
 *)
 
-(* When the cluster supervisor re-executes this binary as a node image,
-   the spec arrives in the environment; nothing else may run first. *)
-let () = Dmx_net.Node.run_as_child_if_requested ()
+(* When the swarm driver re-executes this binary as a daemon image, the
+   spec arrives in the environment; nothing else may run first. *)
 let () = Dmx_service.Snode.run_as_child_if_requested ()
 
 module E = Dmx_sim.Engine
@@ -1271,11 +1270,9 @@ let cluster_cmd =
     in
     let cfg =
       {
-        Dmx_net.Cluster.n;
-        protocol;
+        (Dmx_service.Swarm.cluster ~n ~rounds ~cs) with
+        Dmx_service.Swarm.protocol;
         quorum;
-        rounds;
-        cs_duration = cs;
         seed;
         kills;
         restarts;
@@ -1286,36 +1283,34 @@ let cluster_cmd =
         rto;
         transport;
         chaos;
-        hello_timeout = 10.0;
-        ports = None;
         metrics_base_port;
       }
     in
-    match Dmx_net.Cluster.run cfg with
+    match Dmx_service.Swarm.run cfg with
     | Error e ->
       prerr_endline e;
       exit 1
     | Ok o ->
+      let shard = o.per_shard.(0) in
       (match trace_out with
       | Some file ->
         let oc = open_out file in
         let ppf = Format.formatter_of_out_channel oc in
         List.iter
           (fun e -> Format.fprintf ppf "%a@." Dmx_sim.Trace.pp_entry e)
-          o.Dmx_net.Cluster.entries;
+          shard.entries;
         Format.pp_print_flush ppf ();
         close_out oc
       | None -> ());
-      let r = o.Dmx_net.Cluster.report in
+      let r = Dmx_service.Swarm.report ~protocol ~quorum ~n o in
       if csv then begin
         print_endline csv_header;
         print_endline (csv_line r "cluster")
       end
-      else Format.printf "%a@." Dmx_net.Cluster.pp_outcome o;
-      let ok =
-        r.E.violations = 0 && Dmx_sim.Oracle.ok o.Dmx_net.Cluster.verdict
-      in
-      exit (if ok then 0 else 2)
+      else
+        Format.printf "%a@.%a%a@." E.pp_report r Dmx_service.Swarm.pp_outcome o
+          Dmx_sim.Oracle.pp_verdict shard.verdict;
+      exit (if Dmx_service.Swarm.shard_ok shard then 0 else 2)
   in
   let term =
     Term.(
@@ -1329,106 +1324,13 @@ let cluster_cmd =
     (Cmd.info "cluster"
        ~doc:
          "Run a real multi-process cluster on localhost (TCP streams or \
-          UDP datagrams): spawn N node daemons, drive a workload, \
-          optionally kill/restart sites and inject seeded chaos \
+          UDP datagrams) as a one-shard lock service: spawn N service \
+          daemons, give each one client that runs $(b,--rounds) CS \
+          entries back to back, optionally kill/restart sites and inject \
+          seeded chaos \
           ($(b,--loss), $(b,--dup), $(b,--reorder), $(b,--partition), \
           $(b,--spike)) mid-run, then merge the live traces and check \
           them with the oracle (exit 2 on any violation).")
-    term
-
-let node_cmd =
-  let site_arg =
-    Arg.(
-      required & opt (some int) None
-      & info [ "site" ] ~docv:"I" ~doc:"This node's site id.")
-  in
-  let ports_arg =
-    Arg.(
-      required & opt (some (list int)) None
-      & info [ "peers"; "ports" ] ~docv:"P0,P1,..."
-          ~doc:
-            "Listen port of every site in id order (this node binds entry \
-             $(b,--site)).")
-  in
-  let sup_arg =
-    Arg.(
-      required & opt (some int) None
-      & info [ "supervisor" ] ~docv:"PORT" ~doc:"Supervisor port.")
-  in
-  let epoch_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "epoch" ] ~docv:"T"
-          ~doc:
-            "Cluster time zero as an absolute Unix timestamp (all nodes \
-             must share it); defaults to this node's start time.")
-  in
-  let max_arg =
-    Arg.(
-      value & opt float 600.0
-      & info [ "max-seconds" ] ~docv:"SECONDS"
-          ~doc:"Failsafe wall-clock limit on the node's lifetime.")
-  in
-  let quorum_str_arg =
-    Arg.(
-      value & opt string "tree"
-      & info [ "quorum" ] ~docv:"KIND"
-          ~doc:"Quorum construction (same spellings as elsewhere).")
-  in
-  let transport_arg =
-    Arg.(
-      value & opt string "tcp"
-      & info [ "transport" ] ~docv:"KIND"
-          ~doc:"Transport: tcp or udp (must match the rest of the cluster).")
-  in
-  let mport_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "metrics-port" ] ~docv:"PORT"
-          ~doc:
-            "Serve this node's metrics registry over HTTP on $(docv) \
-             (/metrics and /metrics.json); 0 disables.")
-  in
-  let action site ports sup protocol quorum seed epoch hb hbto rto max_s
-      transport metrics_port =
-    let spec =
-      {
-        Dmx_net.Node.site;
-        n = List.length ports;
-        node_ports = Array.of_list ports;
-        supervisor_port = sup;
-        protocol;
-        quorum;
-        seed;
-        epoch =
-          (match epoch with Some e -> e | None -> Unix.gettimeofday ());
-        hb_period = hb;
-        hb_timeout = hbto;
-        rto;
-        max_seconds = max_s;
-        transport;
-        chaos = Dmx_net.Chaos.no_faults;
-        metrics_port;
-      }
-    in
-    match Dmx_net.Node.run_named spec with
-    | Ok () -> ()
-    | Error e ->
-      prerr_endline e;
-      exit 1
-  in
-  let term =
-    Term.(
-      const action $ site_arg $ ports_arg $ sup_arg $ proto_arg
-      $ quorum_str_arg $ seed_arg $ epoch_arg $ hb_arg $ hbto_arg $ rto_arg
-      $ max_arg $ transport_arg $ mport_arg)
-  in
-  Cmd.v
-    (Cmd.info "node"
-       ~doc:
-         "Run one networked protocol site until its supervisor says \
-          shutdown — the daemon $(b,dmx-sim cluster) spawns, exposed for \
-          manual or multi-host use.")
     term
 
 (* ---- swarm: the sharded lock service ---- *)
@@ -1667,6 +1569,7 @@ let swarm_cmd =
               };
             hello_timeout = 10.0;
             metrics_base_port;
+            ports = None;
           }
     in
     match result with
@@ -1914,7 +1817,6 @@ let () =
             trace_cmd;
             replay_cmd;
             cluster_cmd;
-            node_cmd;
             swarm_cmd;
             top_cmd;
             bench_diff_cmd;

@@ -12,7 +12,8 @@
    make identical loss/duplication/reorder decisions even though real
    scheduling differs. Partition and spike windows are wall-clock
    intervals anchored at the cluster-wide workload epoch ([set_zero],
-   distributed in the Workload frame), the closest a live run gets.
+   carried by the driver's keepalive heartbeat), the closest a live run
+   gets.
 
    Links touching the supervisor (either endpoint >= n) are exempt:
    chaos is for the protocol, not for the control plane that collects
@@ -296,7 +297,7 @@ let handle t =
 
 (* ---- compact plan (de)serialization ----
 
-   Travels inside the single-line DMX_NODE_SPEC environment trampoline,
+   Travels inside the single-line DMX_SERVICE_SPEC environment trampoline,
    so: no spaces, no '='. Fields are ';'-separated; floats are hex
    (lossless); window bounds use '~' because hex floats contain '-'.
 

@@ -13,8 +13,8 @@
     the same seed make identical loss/duplication/reorder decisions even
     though real scheduling differs; {!decision} exposes the function for
     tests. Partition and delay-spike windows are wall-clock intervals
-    relative to the cluster-wide workload epoch, distributed in the
-    [Workload] frame and anchored via {!set_zero}; until the epoch is
+    relative to the cluster-wide workload epoch, carried by the driver's
+    keepalive heartbeat and anchored via {!set_zero}; until the epoch is
     known the windows are inactive.
 
     {b Exemptions.} Links with either endpoint [>= plan.n] (the cluster
@@ -86,7 +86,7 @@ val register_obs :
     the series exists even before the first injected fault). *)
 
 (** {2 Plan transport} — compact single-token encoding (no spaces, no
-    ['=']) so a plan rides the [DMX_NODE_SPEC] environment trampoline. *)
+    ['=']) so a plan rides the [DMX_SERVICE_SPEC] environment trampoline. *)
 
 val plan_to_string : plan -> string
 

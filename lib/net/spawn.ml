@@ -1,5 +1,5 @@
-(* Child-process plumbing shared by the cluster supervisor and the
-   lock-service swarm driver: kernel-allocated loopback ports, re-exec
+(* Child-process plumbing for the lock-service swarm driver:
+   kernel-allocated loopback ports, re-exec
    of the current binary with a spec in an environment variable, and
    quiet SIGKILL+reap teardown. *)
 

@@ -194,14 +194,12 @@ let frame_src (frame : Wire.frame) =
   match frame with
   | Wire.Hello { site; _ }
   | Wire.Heartbeat { site; _ }
-  | Wire.Trace_batch { site; _ }
   | Wire.Metrics { site; _ }
   | Wire.Metrics_v2 { site; _ } ->
     site
-  | Wire.Proto { src; _ } -> src
   | Wire.Sproto { src; _ } -> src
   | Wire.Strace { site; _ } -> site
-  | Wire.Workload _ | Wire.Shutdown -> -1
+  | Wire.Shutdown -> -1
   (* session control frames are anonymous: the client side of the service
      is not a site, and nodes answer on the link the frame arrived on *)
   | Wire.Open_session _ | Wire.Acquire _ | Wire.Release_lock _

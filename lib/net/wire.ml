@@ -288,9 +288,8 @@ let rentry c =
 type frame =
   | Hello of { site : int; inc : float }
   | Heartbeat of { site : int; time : float }
-  | Proto of { src : int; dst : int; payload : string }
-  | Workload of { rounds : int; cs_duration : float; since : float }
-  | Trace_batch of { site : int; entries : Trace.entry list }
+  (* tags 2, 3 and 4 (the retired single-CS cluster's Proto, Workload
+     and Trace_batch frames) stay reserved: the decoder rejects them *)
   | Metrics of {
       site : int;
       executions : int;
@@ -375,21 +374,6 @@ let encode frame =
     w8 b 1;
     wint b site;
     wf64 b time
-  | Proto { src; dst; payload } ->
-    w8 b 2;
-    wint b src;
-    wint b dst;
-    wstr b payload
-  | Workload { rounds; cs_duration; since } ->
-    w8 b 3;
-    wint b rounds;
-    wf64 b cs_duration;
-    wf64 b since
-  | Trace_batch { site; entries } ->
-    w8 b 4;
-    wint b site;
-    wint b (List.length entries);
-    List.iter (wentry b) entries
   | Metrics { site; executions; sent; received; kinds; reliable } ->
     w8 b 5;
     wint b site;
@@ -480,22 +464,6 @@ let decode s =
         let site = rint c in
         let time = rf64 c in
         Heartbeat { site; time }
-      | 2 ->
-        let src = rint c in
-        let dst = rint c in
-        let payload = rstr c in
-        Proto { src; dst; payload }
-      | 3 ->
-        let rounds = rint c in
-        let cs_duration = rf64 c in
-        let since = rf64 c in
-        Workload { rounds; cs_duration; since }
-      | 4 ->
-        let site = rint c in
-        let n = rint c in
-        if n < 0 || n > 10_000_000 then raise (Bad "bad batch length");
-        let entries = List.init n (fun _ -> rentry c) in
-        Trace_batch { site; entries }
       | 5 ->
         let site = rint c in
         let executions = rint c in

@@ -3,11 +3,11 @@
     Everything that crosses a socket is a {e frame}: a 4-byte big-endian
     length prefix followed by a payload whose first byte is the codec
     {!version} and whose second byte is the frame tag. Protocol messages
-    travel opaquely inside {!frame.Proto} (encoded by a per-protocol codec
+    travel opaquely inside {!frame.Sproto} (encoded by a per-protocol codec
     such as {!encode_message} for {!Dmx_core.Messages.t}), so the framing
     layer works for any [Dmx_sim.Protocol.PROTOCOL]. Trace entries cross
     the wire in the {e existing} {!Dmx_sim.Trace} representation, which is
-    what lets the cluster supervisor merge per-site logs and run the same
+    what lets the swarm driver merge per-node logs and run the same
     {!Dmx_sim.Oracle} on a real execution as on a simulated one.
 
     Version negotiation is deliberately minimal (see docs/wire.md): the
@@ -15,7 +15,8 @@
     than its own, and a transport that receives such a frame closes the
     connection — a mixed-version cluster fails fast instead of
     misinterpreting bytes. Decoding is total: any truncated, trailing or
-    corrupt input yields [Error], never an exception or a garbage value. *)
+    corrupt input yields [Error], never an exception or a garbage value.
+    Tags 2, 3 and 4 are retired and reserved; {!decode} rejects them. *)
 
 val version : int
 (** Current codec version (1). *)
@@ -30,16 +31,10 @@ type frame =
       (** first frame on every connection: who is speaking, and its
           incarnation number (wall-clock init time) *)
   | Heartbeat of { site : int; time : float }
-      (** liveness beacon, also the failure-detector input *)
-  | Proto of { src : int; dst : int; payload : string }
-      (** a protocol message, encoded by the protocol's own codec *)
-  | Workload of { rounds : int; cs_duration : float; since : float }
-      (** supervisor [->] node: run this many CS entries, holding the CS
-          this long (seconds). [since] is the supervisor's wall-clock
-          workload start — the shared epoch that anchors chaos partition
-          and delay-spike windows on every node, including restarts. *)
-  | Trace_batch of { site : int; entries : Dmx_sim.Trace.entry list }
-      (** node [->] supervisor: a chunk of the site's event log *)
+      (** liveness beacon, also the failure-detector input. The driver's
+          keepalive ([site = n]) carries the epoch-relative workload start
+          as its [time]: the shared anchor of chaos partition and
+          delay-spike windows on every node, restarts included. *)
   | Metrics of {
       site : int;
       executions : int;
@@ -50,7 +45,7 @@ type frame =
           (** live reliability/transport/chaos counters
               (["reliable.retransmits"], ["transport.sent"],
               ["chaos.lost"], ...); empty when none apply *)
-    }  (** node [->] supervisor: the site finished its workload *)
+    }  (** node [->] supervisor: the node's final counters *)
   | Shutdown  (** supervisor [->] node: flush and exit *)
   | Open_session of { session : int; inc : float }
       (** client [->] node: bind (or re-bind, after a re-home) the
@@ -76,12 +71,12 @@ type frame =
       (** node [->] client: the hold ended without a release — the
           deadline passed, or a renewal arrived too late *)
   | Sproto of { shard : int; src : int; dst : int; payload : string }
-      (** node [<->] node: a protocol message of one shard's coterie;
-          {!frame.Proto} with a shard id, demultiplexed to that shard's
-          protocol instance *)
+      (** node [<->] node: a protocol message of one shard's coterie,
+          encoded by the protocol's own codec and demultiplexed to that
+          shard's protocol instance *)
   | Strace of { shard : int; site : int; entries : Dmx_sim.Trace.entry list }
-      (** node [->] supervisor: {!frame.Trace_batch} with a shard id, so
-          the supervisor can run the unmodified oracle per shard *)
+      (** node [->] supervisor: a chunk of one shard's event log, so the
+          supervisor can run the unmodified oracle per shard *)
   | Metrics_v2 of { site : int; snapshot : Dmx_obs.Snapshot.t }
       (** node [->] supervisor: the node's full metrics-registry snapshot
           (every counter, gauge and histogram the daemon serves on its

@@ -109,6 +109,11 @@ let scalar = function
 let get ?labels t name =
   match find ?labels t name with None -> 0 | Some v -> scalar v
 
+let total t name =
+  List.fold_left
+    (fun acc s -> if s.name = name then acc + scalar s.value else acc)
+    0 t
+
 let quantile (h : hdata) p =
   if h.count = 0 then (
     ignore (Quantile.nearest_rank ~count:1 p);

@@ -47,6 +47,10 @@ val get : ?labels:(string * string) list -> t -> string -> int
 (** The scalar reading of a series: counter/gauge value, histogram count.
     0 when absent. *)
 
+val total : t -> string -> int
+(** Sum of the scalar readings of every series called [name], whatever
+    its labels — e.g. a per-shard counter summed over shards. *)
+
 val quantile : hdata -> float -> int
 (** Same readout as {!Metric.Histogram.quantile}, over shipped data. *)
 

@@ -58,29 +58,28 @@ let default ~n =
   }
 
 let validate (cfg : config) =
-  if cfg.n < 2 then Error "sim-swarm: need at least 2 nodes"
-  else if cfg.shards < 1 then Error "sim-swarm: shards must be >= 1"
-  else if cfg.clients < 1 then Error "sim-swarm: clients must be >= 1"
-  else if cfg.rounds < 1 then Error "sim-swarm: rounds must be >= 1"
-  else if cfg.think < 0.0 || cfg.hold < 0.0 then
-    Error "sim-swarm: think/hold must be non-negative"
-  else if cfg.lease <= 0.0 then Error "sim-swarm: lease must be positive"
-  else if cfg.abandon < 0.0 || cfg.abandon > 1.0 then
-    Error "sim-swarm: abandon must be a probability"
-  else if cfg.latency <= 0.0 then Error "sim-swarm: latency must be positive"
-  else if
-    not (List.mem cfg.protocol [ "delay-optimal"; "ft-delay-optimal" ])
-  then Error (Printf.sprintf "sim-swarm: unknown protocol %S" cfg.protocol)
-  else if not (B.supports cfg.quorum ~n:cfg.n) then
-    Error
-      (Format.asprintf "sim-swarm: quorum %a does not support n=%d" B.pp_kind
-         cfg.quorum cfg.n)
-  else if
-    List.exists (fun (_, s) -> s < 0 || s >= cfg.n) (cfg.kills @ cfg.restarts)
-  then Error "sim-swarm: kill/restart node out of range"
-  else if List.length cfg.kills >= cfg.n then
-    Error "sim-swarm: cannot kill every node"
-  else Ok ()
+  let shared =
+    {
+      (Swarm.default ~n:cfg.n) with
+      Swarm.shards = cfg.shards;
+      clients = cfg.clients;
+      rounds = cfg.rounds;
+      think = cfg.think;
+      hold = cfg.hold;
+      lease = cfg.lease;
+      max_batch = cfg.max_batch;
+      abandon = cfg.abandon;
+      protocol = cfg.protocol;
+      quorum = cfg.quorum;
+      kills = cfg.kills;
+      restarts = cfg.restarts;
+    }
+  in
+  Result.map_error
+    (fun e -> "sim-swarm: " ^ e)
+    (match Swarm.validate_shared shared with
+    | Ok () when cfg.latency <= 0.0 -> Error "latency must be positive"
+    | r -> r)
 
 (* client state machines, as in the live driver *)
 type phase =
@@ -273,6 +272,12 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       in
       let start_round c =
         if c.phase = Thinking then begin
+          (* back to the home node once it has restarted, as live *)
+          let home = c.id mod cfg.n in
+          if c.node <> home && alive.(home) then begin
+            c.node <- home;
+            c.opened <- false
+          end;
           c.req <- c.round + 1;
           acquires.(c.shard) <- acquires.(c.shard) + 1;
           c.phase <- Waiting { sent_at = !now; last_try = !now };
@@ -440,7 +445,15 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       List.iter (fun (t, site) -> sched ~at:t (Restart site)) cfg.restarts;
       (* the deterministic main loop *)
       let stuck = ref false in
-      while (not !stuck) && !completed < cfg.clients && !now <= cfg.max_time do
+      (* as live, the run also plays out the whole kill/restart schedule *)
+      let schedule_left =
+        ref (List.length cfg.kills + List.length cfg.restarts)
+      in
+      while
+        (not !stuck)
+        && (!completed < cfg.clients || !schedule_left > 0)
+        && !now <= cfg.max_time
+      do
         match Heap.pop heap with
         | None -> stuck := true
         | Some { at; ev; _ } -> (
@@ -454,8 +467,12 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
               H.tick hosts.(node)
             end
           | Wakeup { client; what } -> wakeup client what
-          | Kill site -> kill_node site
-          | Restart site -> restart_node site
+          | Kill site ->
+            decr schedule_left;
+            kill_node site
+          | Restart site ->
+            decr schedule_left;
+            restart_node site
           | Notify { node; about; up } ->
             if alive.(node) then begin
               (if up then H.on_node_recovery hosts.(node) ~node:about

@@ -1,8 +1,7 @@
 (* The live service daemon: one process hosting this node's slice of
-   every shard, over the same transports, chaos shim, heartbeat and
-   trampoline machinery as the single-protocol node daemon (lib/net's
-   Node) — but speaking the session/lease control frames and running a
-   Host instead of one protocol instance. *)
+   every shard over a real transport (optionally chaos-wrapped),
+   speaking the session/lease control frames into a Host and streaming
+   each shard's trace back to the swarm driver. *)
 
 module Trace = Dmx_sim.Trace
 module B = Dmx_quorum.Builder
@@ -95,6 +94,8 @@ let spec_of_string str =
   with e ->
     Error (Printf.sprintf "bad service spec %S: %s" str (Printexc.to_string e))
 
+(* How long a daemon outlives a silent driver before giving up: a
+   crashed or wedged driver must not leave orphan daemons behind. *)
 let supervisor_silence_limit = 30.0
 
 let debug =
@@ -196,8 +197,8 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
                Dmx_obs.Registry.snapshot reg))
       else None
     in
-    (* trace streaming: per-shard Strace frames, chunked so a batch fits
-       a UDP datagram like the node daemon's 96-entry chunks *)
+    (* trace streaming: per-shard Strace frames in 96-entry chunks, so a
+       batch fits a UDP datagram *)
     let last_flush = ref (now ()) in
     let flush_traces () =
       List.iter
@@ -304,13 +305,15 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
               driver_frame ();
               dbg "snode %d: shutdown at %.3f" spec.site (now ());
               shutdown := true
-            | Wire.Workload _ ->
-              (* the swarm driver has no use for it, but answering the
-                 cluster supervisor's keepalive idiom is harmless *)
-              last_super_contact := now ()
-            | Wire.Hello _ | Wire.Heartbeat _ | Wire.Proto _
-            | Wire.Trace_batch _ | Wire.Metrics _ | Wire.Metrics_v2 _
-            | Wire.Grant _ | Wire.Deny _ | Wire.Expire _ | Wire.Strace _ ->
+            | Wire.Heartbeat { site; time } when site = spec.n ->
+              (* the driver's keepalive carries the workload start: the
+                 anchor of chaos partition and spike windows *)
+              Option.iter
+                (fun c -> Chaos.set_zero c (spec.epoch +. time))
+                shim
+            | Wire.Hello _ | Wire.Heartbeat _ | Wire.Metrics _
+            | Wire.Metrics_v2 _ | Wire.Grant _ | Wire.Deny _ | Wire.Expire _
+            | Wire.Strace _ ->
               ())
           | Transport_sig.Peer_down s -> H.on_node_failure host ~node:s
           | Transport_sig.Peer_up s -> H.on_node_recovery host ~node:s);

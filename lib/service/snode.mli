@@ -1,14 +1,14 @@
 (** The live lock-service daemon: one process hosting a node's slice of
     every shard over a real transport.
 
-    Mirrors the single-protocol node daemon ({!Dmx_net.Node}) — same
-    transports, chaos shim, heartbeats, re-exec trampoline, supervisor
-    silence failsafe and trace streaming — but it dispatches the
-    session/lease control frames into a {!Host} and streams each
+    It runs the transport (TCP or UDP, optionally wrapped in the
+    {!Dmx_net.Chaos} fault shim), emits heartbeats, dispatches the
+    session/lease control frames into a {!Host}, and streams each
     shard's trace as [Strace] frames, so the swarm driver can run the
     unmodified oracle per shard. All client traffic arrives multiplexed
     over the driver's link (peer id [n]); responses go back the same
-    way. *)
+    way. The daemon exits on the driver's [Shutdown], on driver silence
+    beyond 30 s, or at [spec.max_seconds]. *)
 
 (** Everything a daemon process needs to come up, delivered through the
     {!env_var} trampoline by the swarm driver. *)
@@ -39,12 +39,16 @@ val spec_to_string : spec -> string
 val spec_of_string : string -> (spec, string) result
 
 val env_var : string
-(** [DMX_SERVICE_SPEC]; the service twin of {!Dmx_net.Node.env_var}. *)
+(** [DMX_SERVICE_SPEC]. When set, the process is a driver-spawned
+    daemon: the swarm driver re-executes its own binary with this
+    variable holding a {!spec_to_string}, which lets any host executable
+    (the CLI, the test runner, the bench runner) serve as the daemon
+    image. *)
 
 val run_as_child_if_requested : unit -> unit
 (** Check {!env_var}; when present, run the daemon to completion and
-    [exit]. Must be called before the host executable does anything
-    else (alongside {!Dmx_net.Node.run_as_child_if_requested}). *)
+    [exit] (0 on a clean shutdown, 2 on a bad spec). Must be called
+    before the host executable does anything else. *)
 
 (** Run the daemon for a specific protocol. *)
 module Run (P : Dmx_sim.Protocol.PROTOCOL) : sig
@@ -68,5 +72,8 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) : sig
 end
 
 val run_named : spec -> (unit, string) result
-(** Resolve [spec.protocol]/[spec.quorum] exactly as
-    {!Dmx_net.Node.run_named} does and run the daemon. *)
+(** Resolve [spec.protocol]/[spec.quorum] and run the daemon:
+    ["delay-optimal"] on bare channels, ["ft-delay-optimal"] with the
+    {!Dmx_core.Reliable} retry/ack layer (wall-clock timeouts scaled
+    from [spec.rto]) and the suspicion-safe [trust_detector = false]
+    recovery mode, both over the {!Dmx_net.Wire.encode_message} codec. *)

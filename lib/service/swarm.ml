@@ -8,8 +8,12 @@
    (peer id n), so 10k logical clients cost one connection per node,
    not 10k sockets. Clients are tiny state machines driven off one
    wakeup heap — think, acquire, hold (renewing if the hold outlives
-   half a lease), release or abandon, repeat. *)
+   half a lease), release or abandon, repeat.
 
+   The single-CS cluster is a preset of this driver ([cluster]): one
+   shard, one client per node, no think time, one grant per tenure. *)
+
+module E = Dmx_sim.Engine
 module Trace = Dmx_sim.Trace
 module Oracle = Dmx_sim.Oracle
 module Summary = Dmx_sim.Stats.Summary
@@ -46,6 +50,7 @@ type config = {
   chaos : Chaos.plan;
   hello_timeout : float;
   metrics_base_port : int;  (* daemon [site] scrapes on base + site; 0 = off *)
+  ports : int list option;  (* n node ports, then the driver's *)
 }
 
 let default ~n =
@@ -74,6 +79,19 @@ let default ~n =
     chaos = Chaos.no_faults;
     hello_timeout = 10.0;
     metrics_base_port = 0;
+    ports = None;
+  }
+
+let cluster ~n ~rounds ~cs =
+  {
+    (default ~n) with
+    shards = 1;
+    clients = n;
+    locks = 0;
+    rounds;
+    think = 0.0;
+    hold = cs;
+    max_batch = 1;
   }
 
 type shard_outcome = {
@@ -85,6 +103,7 @@ type shard_outcome = {
   verdict : Oracle.verdict;
   occupancy_violations : int;
   trace_entries : int;
+  entries : Trace.entry list;
 }
 
 type outcome = {
@@ -126,75 +145,64 @@ type wakeup = { at : float; client : int; what : what; seq : int }
 
 (* ---- validation ---- *)
 
-let validate (cfg : config) =
-  if cfg.n < 2 then Error "swarm: need at least 2 nodes"
-  else if cfg.shards < 1 then Error "swarm: shards must be >= 1"
-  else if cfg.clients < 1 then Error "swarm: clients must be >= 1"
-  else if cfg.rounds < 1 then Error "swarm: rounds must be >= 1"
+(* The checks both drivers need, unprefixed: Sim_swarm maps its own
+   config onto these fields. *)
+let validate_shared (cfg : config) =
+  if cfg.n < 2 then Error "need at least 2 nodes"
+  else if cfg.shards < 1 then Error "shards must be >= 1"
+  else if cfg.clients < 1 then Error "clients must be >= 1"
+  else if cfg.rounds < 1 then Error "rounds must be >= 1"
   else if cfg.think < 0.0 || cfg.hold < 0.0 then
-    Error "swarm: think/hold must be non-negative"
-  else if cfg.lease <= 0.0 then Error "swarm: lease must be positive"
+    Error "think/hold must be non-negative"
+  else if cfg.lease <= 0.0 then Error "lease must be positive"
+  else if cfg.max_batch < 1 then Error "max_batch must be >= 1"
   else if cfg.abandon < 0.0 || cfg.abandon > 1.0 then
-    Error "swarm: abandon must be a probability"
+    Error "abandon must be a probability"
   else if
     not (List.mem cfg.protocol [ "delay-optimal"; "ft-delay-optimal" ])
-  then Error (Printf.sprintf "swarm: unknown protocol %S" cfg.protocol)
+  then Error (Printf.sprintf "unknown protocol %S" cfg.protocol)
   else if not (B.supports cfg.quorum ~n:cfg.n) then
     Error
-      (Format.asprintf "swarm: quorum %a does not support n=%d" B.pp_kind
-         cfg.quorum cfg.n)
+      (Format.asprintf "quorum %a does not support n=%d" B.pp_kind cfg.quorum
+         cfg.n)
   else if
     List.exists (fun (_, s) -> s < 0 || s >= cfg.n) (cfg.kills @ cfg.restarts)
-  then Error "swarm: kill/restart node out of range"
+  then Error "kill/restart node out of range"
   else if
     List.exists
       (fun (rt, s) ->
         not (List.exists (fun (kt, ks) -> ks = s && kt < rt) cfg.kills))
       cfg.restarts
-  then Error "swarm: every restart needs an earlier kill of the same node"
-  else if List.length cfg.kills >= cfg.n then
-    Error "swarm: cannot kill every node"
-  else if not (List.mem cfg.transport Transports.names) then
-    Error
-      (Printf.sprintf "swarm: unknown transport %S (want %s)" cfg.transport
-         (String.concat " or " Transports.names))
-  else if not (cfg.hello_timeout > 0.0) then
-    Error "swarm: hello_timeout must be positive"
-  else
-    match Chaos.validate { cfg.chaos with Chaos.n = cfg.n } with
-    | () -> Ok ()
-    | exception Invalid_argument e -> Error ("swarm: " ^ e)
+  then Error "every restart needs an earlier kill of the same node"
+  else if List.length cfg.kills >= cfg.n then Error "cannot kill every node"
+  else Ok ()
 
-(* ---- per-shard occupancy, in the shard's site-id space ---- *)
-
-let scan_occupancy n entries =
-  let occ = Dmx_runtime.Occupancy.create () in
-  let in_cs = Array.make n false in
-  List.iter
-    (fun (e : Trace.entry) ->
-      let site = e.Trace.site in
-      match e.Trace.kind with
-      | Trace.Enter_cs ->
-        Dmx_runtime.Occupancy.enter occ;
-        in_cs.(site) <- true
-      | Trace.Exit_cs ->
-        if in_cs.(site) then begin
-          Dmx_runtime.Occupancy.exit occ;
-          in_cs.(site) <- false
-        end
-      | Trace.Crash ->
-        if in_cs.(site) then begin
-          Dmx_runtime.Occupancy.exit occ;
-          in_cs.(site) <- false
-        end
-      | _ -> ())
-    entries;
-  Dmx_runtime.Occupancy.violations occ
+let validate (cfg : config) =
+  let live () =
+    if not (List.mem cfg.transport Transports.names) then
+      Error
+        (Printf.sprintf "unknown transport %S (want %s)" cfg.transport
+           (String.concat " or " Transports.names))
+    else if not (cfg.hello_timeout > 0.0) then
+      Error "hello_timeout must be positive"
+    else if
+      match cfg.ports with
+      | Some ps -> List.length ps <> cfg.n + 1
+      | None -> false
+    then Error "ports list must have n+1 entries (nodes + driver)"
+    else
+      match Chaos.validate { cfg.chaos with Chaos.n = cfg.n } with
+      | () -> Ok ()
+      | exception Invalid_argument e -> Error e
+  in
+  Result.map_error
+    (fun e -> "swarm: " ^ e)
+    (Result.bind (validate_shared cfg) live)
 
 (* Shared by the live driver and the virtual-time simulator: sort each
-   shard's merged trace, run the oracle (with the same relaxations the
-   cluster supervisor applies on crashy/lossy runs) and the independent
-   occupancy scan. *)
+   shard's merged trace, run the oracle (FIFO off on crashy or lossy
+   runs, custody off on crashy ones) and the independent occupancy
+   scan. *)
 let distil ~n ~crashy ~lossy ~acquires ~grants ~expiries ~latency ~entries =
   Array.init (Array.length entries) (fun shard ->
       let es =
@@ -218,9 +226,135 @@ let distil ~n ~crashy ~lossy ~acquires ~grants ~expiries ~latency ~entries =
         expiries = expiries.(shard);
         latency = latency.(shard);
         verdict;
-        occupancy_violations = scan_occupancy n es;
+        occupancy_violations = Dmx_sim.Occupancy.scan ~n es;
         trace_entries = List.length es;
+        entries = es;
       })
+
+(* ---- the single-CS cluster report ---- *)
+
+(* Rebuild an engine report from one shard's merged trace: with one
+   client per node and one grant per tenure, every site's
+   Request/Enter_cs/Exit_cs bracketing is a workload round, exactly as
+   in a simulation. *)
+let build_report ~protocol ~quorum ~n ~kind_totals ~duration
+    (s : shard_outcome) =
+  let per_site = Array.make n 0 in
+  let request_at = Array.make n Float.nan in
+  let response = Summary.create () in
+  let sync = Summary.create () in
+  let unavail = Summary.create () in
+  let parked_at = Array.make n Float.nan in
+  let total_messages = ref 0 in
+  let suspicions = ref 0 in
+  let false_suspicions = ref 0 in
+  (* dead windows, from the driver's own Crash/Recover entries *)
+  let dead_since = Array.make n Float.nan in
+  let waiting = Array.make n false in
+  let open_handoff = ref Float.nan in
+  let first_event = ref Float.nan in
+  let last_event = ref Float.nan in
+  List.iter
+    (fun (e : Trace.entry) ->
+      let t = e.Trace.time in
+      if Float.is_nan !first_event then first_event := t;
+      last_event := t;
+      let site = e.Trace.site in
+      match e.Trace.kind with
+      | Trace.Request ->
+        request_at.(site) <- t;
+        waiting.(site) <- true
+      | Trace.Enter_cs ->
+        per_site.(site) <- per_site.(site) + 1;
+        waiting.(site) <- false;
+        if not (Float.is_nan request_at.(site)) then begin
+          Summary.add response (t -. request_at.(site));
+          request_at.(site) <- Float.nan
+        end;
+        if not (Float.is_nan !open_handoff) then begin
+          Summary.add sync (t -. !open_handoff);
+          open_handoff := Float.nan
+        end
+      | Trace.Exit_cs ->
+        if Array.exists Fun.id waiting then open_handoff := t
+      | Trace.Send { dst; _ } -> if dst <> site then incr total_messages
+      | Trace.Suspect s ->
+        incr suspicions;
+        if Float.is_nan dead_since.(s) then incr false_suspicions
+      | Trace.Crash ->
+        dead_since.(site) <- t;
+        waiting.(site) <- false;
+        request_at.(site) <- Float.nan
+      | Trace.Recover -> dead_since.(site) <- Float.nan
+      | Trace.Note note ->
+        if note = "parked" then parked_at.(site) <- t
+        else if note = "unparked" && not (Float.is_nan parked_at.(site))
+        then begin
+          Summary.add unavail (t -. parked_at.(site));
+          parked_at.(site) <- Float.nan
+        end
+      | _ -> ())
+    s.entries;
+  let executions = Array.fold_left ( + ) 0 per_site in
+  let fairness =
+    match
+      Array.to_list per_site
+      |> List.filter (fun x -> x > 0)
+      |> List.map float_of_int
+    with
+    | [] -> 1.0
+    | xs ->
+      let sum = List.fold_left ( +. ) 0.0 xs in
+      let sq = List.fold_left (fun a x -> a +. (x *. x)) 0.0 xs in
+      sum *. sum /. (float_of_int (List.length xs) *. sq)
+  in
+  let assoc_get k = Option.value ~default:0 (List.assoc_opt k kind_totals) in
+  let window =
+    if Float.is_nan !first_event then duration
+    else !last_event -. !first_event
+  in
+  {
+    E.protocol;
+    params = Format.asprintf "%a quorums, one-shard service" B.pp_kind quorum;
+    n;
+    executions;
+    total_messages = !total_messages;
+    messages_by_kind = List.filter (fun (_, v) -> v > 0) kind_totals;
+    messages_per_cs =
+      (if executions = 0 then 0.0
+       else float_of_int !total_messages /. float_of_int executions);
+    sync_delay = sync;
+    response_time = response;
+    throughput =
+      (if window > 0.0 then float_of_int executions /. window else 0.0);
+    sim_time = duration;
+    mean_delay = 1.0;
+    violations = s.occupancy_violations;
+    deadlocked = false;
+    pending_at_end =
+      Array.to_list waiting |> List.filter Fun.id |> List.length;
+    per_site_executions = per_site;
+    fairness;
+    retransmissions = assoc_get "retx";
+    acks = assoc_get "ack";
+    detector_messages = 0;
+    suspicions = !suspicions;
+    false_suspicions = !false_suspicions;
+    unavailability = unavail;
+  }
+
+let report ~protocol ~quorum ~n o =
+  let kind_totals =
+    List.filter_map
+      (fun (s : Dmx_obs.Snapshot.series) ->
+        match (s.name, List.assoc_opt "kind" s.labels, s.value) with
+        | "service.messages.kind", Some k, Dmx_obs.Snapshot.Counter v ->
+          Some (k, v)
+        | _ -> None)
+      (merged_snapshot o)
+  in
+  build_report ~protocol ~quorum ~n ~kind_totals ~duration:o.wall_seconds
+    o.per_shard.(0)
 
 (* ---- the driver ---- *)
 
@@ -231,7 +365,11 @@ let run (cfg : config) =
     let started_wall = Unix.gettimeofday () in
     let epoch = started_wall in
     let locks = if cfg.locks < 1 then cfg.clients else cfg.locks in
-    let ports = Spawn.alloc_ports (cfg.n + 1) in
+    let ports =
+      match cfg.ports with
+      | Some ps -> ps
+      | None -> Spawn.alloc_ports (cfg.n + 1)
+    in
     let sup_port = List.nth ports cfg.n in
     let node_ports = Array.of_list (List.filteri (fun i _ -> i < cfg.n) ports) in
     let plan =
@@ -390,6 +528,17 @@ let run (cfg : config) =
       in
       let start_round c =
         if c.phase = Thinking then begin
+          (* a session a kill re-homed goes back to its home node once
+             that node has restarted and said hello, so a restart
+             restores the original spread of clients over nodes *)
+          let home = c.id mod cfg.n in
+          if
+            c.node <> home && alive.(home)
+            && not (Float.is_nan hello_inc.(home))
+          then begin
+            c.node <- home;
+            c.opened <- false
+          end;
           c.req <- c.round + 1;
           acquires.(c.shard) <- acquires.(c.shard) + 1;
           let t = now () in
@@ -616,16 +765,26 @@ let run (cfg : config) =
           complete_round c
         | _ -> ()
       in
-      while !completed < cfg.clients && now () < cfg.timeout do
+      (* the run ends once every client is done and the kill/restart
+         schedule has played out, every restarted node back up *)
+      let settled () =
+        !completed >= cfg.clients
+        && !pending_kills = [] && !pending_restarts = []
+        && Array.for_all2
+             (fun live inc -> (not live) || not (Float.is_nan inc))
+             alive hello_inc
+      in
+      while (not (settled ())) && now () < cfg.timeout do
         drain ();
         if now () -. !last_hb >= 0.5 then begin
           last_hb := now ();
-          (* keepalive: the daemons exit on driver silence *)
+          (* keepalive: the daemons exit on driver silence, and anchor
+             their chaos windows at the workload start it carries *)
           Array.iteri
             (fun site live ->
               if live then
                 transport.send ~dst:site
-                  (Wire.Heartbeat { site = cfg.n; time = now () }))
+                  (Wire.Heartbeat { site = cfg.n; time = t0 }))
             alive
         end;
         let rel = now () -. t0 in
@@ -650,10 +809,12 @@ let run (cfg : config) =
         fire ();
         Unix.sleepf 0.0005
       done;
-      if !completed < cfg.clients then
+      if not (settled ()) then
         failwith
-          (Printf.sprintf "timeout: %d/%d clients finished" !completed
-             cfg.clients);
+          (Printf.sprintf
+             "timeout: %d/%d clients finished, %d kill/restart events pending"
+             !completed cfg.clients
+             (List.length !pending_kills + List.length !pending_restarts));
       (* phase 3: shutdown, final Strace/Metrics drain, reap *)
       transport.broadcast Wire.Shutdown;
       let shutdowns_left = ref 2 in

@@ -12,7 +12,12 @@
     Acquire latency is measured driver-side, from the first [Acquire]
     send to the matching [Grant], so failover cost (retries, session
     re-homing after a kill) is part of the distribution, exactly as a
-    client would experience it. *)
+    client would experience it.
+
+    The single-CS cluster of the paper is a preset ({!cluster}): one
+    shard, one client per node, one grant per protocol tenure. Its shard
+    trace has the simulator's per-site Request/Enter_cs/Exit_cs shape,
+    and {!report} turns it into an {!Dmx_sim.Engine.report}. *)
 
 module Summary = Dmx_sim.Stats.Summary
 module Oracle = Dmx_sim.Oracle
@@ -49,13 +54,29 @@ type config = {
   metrics_base_port : int;
       (** daemon [site] serves its metrics registry over HTTP on
           [metrics_base_port + site] ({!Dmx_net.Scrape}); [0] disables *)
+  ports : int list option;
+      (** fixed ports ([n] node ports then the driver's) instead of
+          kernel-allocated ones — test hook for bind-failure injection *)
 }
 
 val default : n:int -> config
 (** 4 shards, 64 clients x 3 rounds, 50 ms mean think, 2 ms hold, 2 s
     lease, no kills, no chaos, TCP. *)
 
+val cluster : n:int -> rounds:int -> cs:float -> config
+(** The single-CS cluster preset: {!default} with one shard, [n]
+    clients (client [i] on node [i], one lock each), no think time, a
+    [cs]-second hold and one grant per tenure — so every node runs
+    [rounds] CS entries back to back, as in a simulation. *)
+
+val validate_shared : config -> (unit, string) result
+(** The checks on the fields {!Sim_swarm} shares with the live driver
+    (sizes, times, [max_batch], protocol, quorum, the kill/restart
+    schedule); the message carries no driver prefix. *)
+
 val validate : config -> (unit, string) result
+(** {!validate_shared} plus the live-only fields (transport, hello
+    timeout, ports, chaos plan). *)
 
 (** Per-shard distillation: driver-side counters, the acquire-latency
     summary, and the oracle's verdict over the merged trace (expressed
@@ -71,6 +92,7 @@ type shard_outcome = {
   verdict : Oracle.verdict;
   occupancy_violations : int;  (** independent shard-local CS overlap scan *)
   trace_entries : int;
+  entries : Dmx_sim.Trace.entry list;  (** the merged trace, time-sorted *)
 }
 
 type outcome = {
@@ -108,9 +130,17 @@ val distil :
   shard_outcome array
 (** Shared verdict construction (also used by {!Sim_swarm}): sort each
     shard's merged trace by time, run the oracle — FIFO off when
-    [crashy] or [lossy], custody off when [crashy], exactly as the
-    cluster supervisor relaxes it — plus an independent shard-local
-    occupancy scan. All arrays are indexed by shard. *)
+    [crashy] or [lossy], custody off when [crashy] — plus an
+    independent shard-local occupancy scan ({!Dmx_sim.Occupancy}). All
+    arrays are indexed by shard. *)
+
+val report :
+  protocol:string -> quorum:B.kind -> n:int -> outcome -> Dmx_sim.Engine.report
+(** The engine report of shard 0 of a {!cluster}-preset run (live or
+    {!Sim_swarm}): executions, response time and sync delay from the
+    merged trace, per-kind message counts from the nodes' final
+    snapshots, [violations] from the occupancy scan, and the run's
+    [wall_seconds] as [sim_time]. *)
 
 val run : config -> (outcome, string) result
 (** Run the swarm to completion. [Error] covers validation failures,

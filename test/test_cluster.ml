@@ -1,15 +1,19 @@
-(* Integration tests for the networked runtime: real node processes over
-   localhost TCP, supervised by Dmx_net.Cluster, with the merged live
-   trace checked by the same oracle the simulator uses.
+(* Integration tests for the single-CS cluster: the lock service's
+   one-shard preset (Swarm.cluster), with real service daemons over
+   localhost TCP/UDP and the merged live trace checked by the same
+   oracle the simulator uses. The same preset also runs on the
+   deterministic Sim_swarm twin, with no sockets, where the rebuilt
+   engine report is checked exactly.
 
-   The default suite keeps to a quick 3-node run so `dune runtest` stays
+   The default suite keeps to quick 3-node runs so `dune runtest` stays
    fast and robust. The full acceptance scenario — 5 sites under
-   ft-delay-optimal, >= 20 CS entries per site, one kill plus restart
+   ft-delay-optimal, 20 CS rounds per site, one kill plus restart
    mid-run — is gated behind DMX_CLUSTER_FULL=1 and run by the dedicated
    CI job, which uploads the merged trace as an artifact on failure
    (written to DMX_CLUSTER_TRACE_DIR). *)
 
-module Cluster = Dmx_net.Cluster
+module Swarm = Dmx_service.Swarm
+module Sim_swarm = Dmx_service.Sim_swarm
 module Oracle = Dmx_sim.Oracle
 module E = Dmx_sim.Engine
 
@@ -30,115 +34,108 @@ let dump_trace_on_failure name entries =
     close_out oc;
     Printf.eprintf "merged trace written to %s\n%!" path
 
-let check_outcome name ~min_execs (o : Cluster.outcome) =
-  let r = o.Cluster.report in
+(* Every round ends only after a Grant (release, expiry and re-homing
+   all follow one), so even with kills the driver-side grant count is
+   exactly n x rounds once every client is done. *)
+let check_outcome name (cfg : Swarm.config) (o : Swarm.outcome) =
+  let shard = o.per_shard.(0) in
+  let want = cfg.n * cfg.rounds in
   let ok =
-    r.E.violations = 0
-    && Oracle.ok o.Cluster.verdict
-    && r.E.executions >= min_execs
+    Swarm.shard_ok shard && shard.grants = want
+    && o.completed_clients = cfg.n
   in
   if not ok then begin
-    dump_trace_on_failure name o.Cluster.entries;
-    Format.eprintf "%a@." Cluster.pp_outcome o
+    dump_trace_on_failure name shard.entries;
+    Format.eprintf "%a@." Swarm.pp_outcome o
   end;
-  Alcotest.(check int) "mutual exclusion violations" 0 r.E.violations;
+  Alcotest.(check int) "occupancy violations" 0 shard.occupancy_violations;
   Alcotest.(check bool) "oracle accepts the merged trace" true
-    (Oracle.ok o.Cluster.verdict);
-  Alcotest.(check bool)
-    (Printf.sprintf "executions >= %d (got %d)" min_execs r.E.executions)
-    true
-    (r.E.executions >= min_execs)
+    (Oracle.ok shard.verdict);
+  Alcotest.(check int) "grants = n x rounds" want shard.grants;
+  Alcotest.(check int) "every client completed" cfg.n o.completed_clients
+
+let run_preset name cfg =
+  match Swarm.run cfg with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+    check_outcome name cfg o;
+    o
 
 let test_small_cluster () =
   let cfg =
     {
-      (Cluster.default ~n:3) with
-      Cluster.protocol = "delay-optimal";
-      rounds = 5;
+      (Swarm.cluster ~n:3 ~rounds:5 ~cs:0.001) with
+      Swarm.protocol = "delay-optimal";
       timeout = 30.0;
     }
   in
-  match Cluster.run cfg with
-  | Error e -> Alcotest.fail e
-  | Ok o -> check_outcome "small-cluster" ~min_execs:15 o
+  let o = run_preset "small-cluster" cfg in
+  (* fault-free over TCP: the rebuilt report counts every round *)
+  let r = Swarm.report ~protocol:cfg.protocol ~quorum:cfg.quorum ~n:3 o in
+  Alcotest.(check int) "report executions" 15 r.E.executions;
+  Alcotest.(check int) "report violations" 0 r.E.violations
 
+(* a 50 ms hold stretches the 100 rounds over ~5 s, so the kill at 2 s
+   and the restart at 4 s land mid-run: site 1's client re-homes, then
+   moves back once the restarted daemon says hello *)
 let test_full_ft_cluster () =
-  if not full_enabled then
-    Alcotest.skip ()
+  if not full_enabled then Alcotest.skip ()
   else
-    let cfg =
-      {
-        (Cluster.default ~n:5) with
-        Cluster.protocol = "ft-delay-optimal";
-        rounds = 20;
-        kills = [ (2.0, 1) ];
-        restarts = [ (4.0, 1) ];
-        timeout = 120.0;
-      }
-    in
-    match Cluster.run cfg with
-    | Error e -> Alcotest.fail e
-    | Ok o ->
-      (* 4 surviving sites x 20 rounds, plus whatever the killed site's two
-         lives completed: >= 20 per surviving site means >= 100 total with
-         the restarted site's second life included *)
-      check_outcome "full-ft-cluster" ~min_execs:100 o
+    ignore
+      (run_preset "full-ft-cluster"
+         {
+           (Swarm.cluster ~n:5 ~rounds:20 ~cs:0.05) with
+           Swarm.protocol = "ft-delay-optimal";
+           kills = [ (2.0, 1) ];
+           restarts = [ (4.0, 1) ];
+           timeout = 120.0;
+         })
 
 let test_small_udp_cluster () =
-  let cfg =
-    {
-      (Cluster.default ~n:3) with
-      Cluster.protocol = "ft-delay-optimal";
-      transport = "udp";
-      rounds = 5;
-      timeout = 30.0;
-    }
-  in
-  match Cluster.run cfg with
-  | Error e -> Alcotest.fail e
-  | Ok o -> check_outcome "small-udp-cluster" ~min_execs:15 o
+  ignore
+    (run_preset "small-udp-cluster"
+       {
+         (Swarm.cluster ~n:3 ~rounds:5 ~cs:0.001) with
+         Swarm.protocol = "ft-delay-optimal";
+         transport = "udp";
+         timeout = 30.0;
+       })
 
 (* the acceptance scenario from the chaos harness: genuine datagram loss,
    duplication and a kill+restart, with the unmodified oracle on the
    merged trace and a nonzero live retransmission count *)
 let test_chaos_udp_cluster () =
-  if not full_enabled then
-    Alcotest.skip ()
+  if not full_enabled then Alcotest.skip ()
   else
-    let cfg =
-      {
-        (Cluster.default ~n:5) with
-        Cluster.protocol = "ft-delay-optimal";
-        transport = "udp";
-        chaos =
-          {
-            Dmx_net.Chaos.no_faults with
-            Dmx_net.Chaos.loss = 0.2;
-            duplication = 0.05;
-          };
-        rounds = 10;
-        seed = 7;
-        kills = [ (2.0, 1) ];
-        restarts = [ (4.0, 1) ];
-        timeout = 180.0;
-      }
+    let o =
+      run_preset "chaos-udp-cluster"
+        {
+          (Swarm.cluster ~n:5 ~rounds:10 ~cs:0.001) with
+          Swarm.protocol = "ft-delay-optimal";
+          transport = "udp";
+          chaos =
+            {
+              Dmx_net.Chaos.no_faults with
+              Dmx_net.Chaos.loss = 0.2;
+              duplication = 0.05;
+            };
+          seed = 7;
+          kills = [ (2.0, 1) ];
+          restarts = [ (4.0, 1) ];
+          timeout = 180.0;
+        }
     in
-    match Cluster.run cfg with
-    | Error e -> Alcotest.fail e
-    | Ok o ->
-      check_outcome "chaos-udp-cluster" ~min_execs:40 o;
-      let totals = Cluster.live_totals o in
-      let get k = match List.assoc_opt k totals with Some v -> v | None -> 0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "chaos really dropped frames (lost %d)"
-           (get "chaos.lost"))
-        true
-        (get "chaos.lost" > 0);
-      Alcotest.(check bool)
-        (Printf.sprintf "reliability layer really retransmitted (retx %d)"
-           (get "reliable.retransmits"))
-        true
-        (get "reliable.retransmits" > 0)
+    let get = Dmx_obs.Snapshot.total (Swarm.merged_snapshot o) in
+    Alcotest.(check bool)
+      (Printf.sprintf "chaos really dropped frames (lost %d)"
+         (get "chaos.lost"))
+      true
+      (get "chaos.lost" > 0);
+    Alcotest.(check bool)
+      (Printf.sprintf "reliability layer really retransmitted (retx %d)"
+         (get "reliable.retransmits"))
+      true
+      (get "reliable.retransmits" > 0)
 
 (* a node that cannot bind its port must fail the run quickly, by name —
    not wedge the supervisor until the global timeout *)
@@ -169,16 +166,15 @@ let test_bind_failure_names_the_node () =
       let ports = [ free (); taken; free (); free () ] in
       let cfg =
         {
-          (Cluster.default ~n:3) with
-          Cluster.protocol = "delay-optimal";
-          rounds = 2;
+          (Swarm.cluster ~n:3 ~rounds:2 ~cs:0.001) with
+          Swarm.protocol = "delay-optimal";
           ports = Some ports;
           hello_timeout = 5.0;
           timeout = 30.0;
         }
       in
       let t0 = Unix.gettimeofday () in
-      match Cluster.run cfg with
+      match Swarm.run cfg with
       | Ok _ -> Alcotest.fail "cluster came up on an occupied port"
       | Error msg ->
         let contains hay needle =
@@ -191,33 +187,57 @@ let test_bind_failure_names_the_node () =
           true
           (contains msg "node 1" || contains msg "node(s) 1");
         Alcotest.(check bool) "failed fast, not at the global timeout" true
-          (Unix.gettimeofday () -. t0 < cfg.Cluster.timeout))
+          (Unix.gettimeofday () -. t0 < cfg.Swarm.timeout))
 
 let test_bad_configs () =
-  let bad cfg = match Cluster.run cfg with Ok _ -> false | Error _ -> true in
-  Alcotest.(check bool) "n too small" true
-    (bad { (Cluster.default ~n:1) with Cluster.timeout = 5.0 });
+  let bad cfg = match Swarm.run cfg with Ok _ -> false | Error _ -> true in
+  let preset n =
+    { (Swarm.cluster ~n ~rounds:20 ~cs:0.001) with Swarm.timeout = 5.0 }
+  in
+  Alcotest.(check bool) "n too small" true (bad (preset 1));
   Alcotest.(check bool) "restart without kill" true
-    (bad
-       {
-         (Cluster.default ~n:3) with
-         Cluster.restarts = [ (1.0, 0) ];
-         timeout = 5.0;
-       });
+    (bad { (preset 3) with Swarm.restarts = [ (1.0, 0) ] });
   Alcotest.(check bool) "kill site out of range" true
-    (bad
-       {
-         (Cluster.default ~n:3) with
-         Cluster.kills = [ (1.0, 7) ];
-         timeout = 5.0;
-       });
+    (bad { (preset 3) with Swarm.kills = [ (1.0, 7) ] });
   Alcotest.(check bool) "unknown protocol is rejected" true
-    (bad
-       {
-         (Cluster.default ~n:3) with
-         Cluster.protocol = "nope";
-         timeout = 10.0;
-       })
+    (bad { (preset 3) with Swarm.protocol = "nope"; timeout = 10.0 })
+
+(* The preset on the virtual-time twin: no sockets, a pure function of
+   the seed. Fault-free with one client per node and one grant per
+   tenure, so the shard trace is the simulator's per-site
+   Request/Enter_cs/Exit_cs shape and the rebuilt report is exact. *)
+let test_sim_preset protocol () =
+  let n = 5 and rounds = 4 in
+  let p = Swarm.cluster ~n ~rounds ~cs:0.002 in
+  let cfg =
+    {
+      (Sim_swarm.default ~n) with
+      Sim_swarm.shards = p.shards;
+      clients = p.clients;
+      locks = p.locks;
+      rounds = p.rounds;
+      think = p.think;
+      hold = p.hold;
+      max_batch = p.max_batch;
+      protocol;
+      seed = 11;
+    }
+  in
+  match Sim_swarm.run_named cfg with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+    let shard = o.per_shard.(0) in
+    Alcotest.(check bool) "oracle-clean" true (Oracle.ok shard.verdict);
+    Alcotest.(check int) "occupancy violations" 0 shard.occupancy_violations;
+    let r = Swarm.report ~protocol ~quorum:cfg.quorum ~n o in
+    Alcotest.(check int) "executions = n x rounds" (n * rounds) r.E.executions;
+    Alcotest.(check int) "report violations" 0 r.E.violations;
+    Array.iteri
+      (fun site x ->
+        Alcotest.(check int)
+          (Printf.sprintf "site %d executions" site)
+          rounds x)
+      r.E.per_site_executions
 
 let suite =
   [
@@ -231,4 +251,8 @@ let suite =
     Alcotest.test_case "bind failure fails fast and names the node" `Slow
       test_bind_failure_names_the_node;
     Alcotest.test_case "bad configurations rejected" `Quick test_bad_configs;
+    Alcotest.test_case "preset on the sim twin, delay-optimal" `Quick
+      (test_sim_preset "delay-optimal");
+    Alcotest.test_case "preset on the sim twin, ft-delay-optimal" `Quick
+      (test_sim_preset "ft-delay-optimal");
   ]

@@ -1,7 +1,8 @@
 (* The post-hoc trace oracle: hand-crafted traces exercising each invariant
    (mutex, quorum coverage, coterie intersection, permission custody, FIFO,
    fairness, message bounds, truncation refusal), then real runs of every
-   protocol x quorum construction piped through it. *)
+   protocol x quorum construction piped through it. The mutex traces also
+   go through the independent Occupancy scan live runs use. *)
 
 module T = Dmx_sim.Trace
 module O = Dmx_sim.Oracle
@@ -28,34 +29,41 @@ let check_clean label v =
 
 let test_empty_trace () = check_clean "empty" (verdict [])
 
+let occupancy = Dmx_sim.Occupancy.scan ~n:4
+
 let test_mutex_violation () =
-  let v =
-    verdict
-      [
-        e 1.0 0 T.Enter_cs;
-        e 2.0 1 T.Enter_cs;
-        e 3.0 0 T.Exit_cs;
-        e 4.0 1 T.Exit_cs;
-      ]
+  let trace =
+    [
+      e 1.0 0 T.Enter_cs;
+      e 2.0 1 T.Enter_cs;
+      e 3.0 0 T.Exit_cs;
+      e 4.0 1 T.Exit_cs;
+    ]
   in
+  let v = verdict trace in
   Alcotest.(check bool) "flagged" true (has_violation "MUTEX" v);
-  Alcotest.(check int) "exactly one" 1 (List.length v.O.violations)
+  Alcotest.(check int) "exactly one" 1 (List.length v.O.violations);
+  Alcotest.(check int) "occupancy scan agrees" 1 (occupancy trace)
 
 let test_mutex_sequential_ok () =
-  check_clean "sequential tenures"
-    (verdict
-       [
-         e 1.0 0 T.Enter_cs;
-         e 2.0 0 T.Exit_cs;
-         e 2.0 1 T.Enter_cs;
-         e 3.0 1 T.Exit_cs;
-       ])
+  let trace =
+    [
+      e 1.0 0 T.Enter_cs;
+      e 2.0 0 T.Exit_cs;
+      e 2.0 1 T.Enter_cs;
+      e 3.0 1 T.Exit_cs;
+    ]
+  in
+  check_clean "sequential tenures" (verdict trace);
+  Alcotest.(check int) "occupancy scan agrees" 0 (occupancy trace)
 
 let test_crash_ends_tenure () =
   (* fail-stop inside the CS: the next entry is not a double-entry *)
-  check_clean "crash frees the CS"
-    (verdict
-       [ e 1.0 0 T.Enter_cs; e 2.0 0 T.Crash; e 3.0 1 T.Enter_cs; e 4.0 1 T.Exit_cs ])
+  let trace =
+    [ e 1.0 0 T.Enter_cs; e 2.0 0 T.Crash; e 3.0 1 T.Enter_cs; e 4.0 1 T.Exit_cs ]
+  in
+  check_clean "crash frees the CS" (verdict trace);
+  Alcotest.(check int) "occupancy scan agrees" 0 (occupancy trace)
 
 let test_quorum_coverage () =
   let missing =

@@ -276,6 +276,25 @@ let test_swarm_validation () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "zero latency should be rejected"
 
+(* One validator serves both drivers: a config the shared checks reject
+   comes back as [Error] from the live run (before any daemon is
+   spawned) and from the simulation alike, never as an exception or a
+   daemon dying at startup. *)
+let test_shared_validation () =
+  let rejected what = function
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "expected %s to be rejected" what
+  in
+  let live = { (Swarm.default ~n:3) with Swarm.timeout = 5.0 } in
+  let sim = Sim_swarm.default ~n:3 in
+  rejected "live max_batch 0" (Swarm.run { live with Swarm.max_batch = 0 });
+  rejected "sim max_batch 0"
+    (Sim_swarm.run_named { sim with Sim_swarm.max_batch = 0 });
+  rejected "live restart without kill"
+    (Swarm.run { live with Swarm.restarts = [ (1.0, 1) ] });
+  rejected "sim restart without kill"
+    (Sim_swarm.run_named { sim with Sim_swarm.restarts = [ (1.0, 1) ] })
+
 (* ---- live swarm (gated, like the heavy cluster scenarios) ---- *)
 
 let test_live_swarm_kill_restart () =
@@ -323,6 +342,8 @@ let suite =
     Alcotest.test_case "sim swarm kill recovery" `Quick
       test_sim_swarm_kill_recovery;
     Alcotest.test_case "config validation" `Quick test_swarm_validation;
+    Alcotest.test_case "shared validation, both drivers" `Quick
+      test_shared_validation;
     Alcotest.test_case "live swarm kill+restart (DMX_CLUSTER_FULL)" `Slow
       test_live_swarm_kill_restart;
   ]
