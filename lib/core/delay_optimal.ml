@@ -30,20 +30,90 @@ type message = Messages.t
    request at a time) and applied the moment the lock catches up. *)
 type pending_action = Released of Ts.t option | Yielded
 
-(* Per-site protocol state is sparse: every per-peer map below is a
-   hashtable keyed by site id rather than an N-slot array, so a site's
-   memory follows the peers it actually talks to (its quorum plus its
-   requesters — O(K)) instead of the universe size. At N = 10^6 the old
-   arrays were 4 x 8 MB per instantiated site. *)
+(* A set of site ids as a sorted [int array], changed in place. Unused
+   slots hold -1 and the capacity is a function of the size alone, so
+   equal sets are equal values. *)
+module Sites = struct
+  type t = { mutable ids : int array; mutable len : int }
+
+  let capacity len =
+    let rec up c = if c >= len then c else up (2 * c) in
+    up 4
+
+  let create () = { ids = Array.make 4 (-1); len = 0 }
+  let copy t = { ids = Array.copy t.ids; len = t.len }
+  let length t = t.len
+  let to_list t = Array.to_list (Array.sub t.ids 0 t.len)
+
+  (* Index of the first id not below [x]. *)
+  let lower t (x : int) =
+    let lo = ref 0 and hi = ref t.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.ids.(mid) < x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let mem t x =
+    let i = lower t x in
+    i < t.len && t.ids.(i) = x
+
+  (* Re-size to the canonical capacity; an id being added may not have a
+     slot yet. *)
+  let fit t =
+    let cap = capacity t.len in
+    if cap <> Array.length t.ids then begin
+      let a = Array.make cap (-1) in
+      Array.blit t.ids 0 a 0 (min t.len (Array.length t.ids));
+      t.ids <- a
+    end
+
+  let add t x =
+    let i = lower t x in
+    if not (i < t.len && t.ids.(i) = x) then begin
+      t.len <- t.len + 1;
+      fit t;
+      Array.blit t.ids i t.ids (i + 1) (t.len - 1 - i);
+      t.ids.(i) <- x
+    end
+
+  let remove t x =
+    let i = lower t x in
+    if i < t.len && t.ids.(i) = x then begin
+      Array.blit t.ids (i + 1) t.ids i (t.len - 1 - i);
+      t.len <- t.len - 1;
+      t.ids.(t.len) <- -1;
+      fit t
+    end
+
+  let clear t =
+    if t.len > 0 then begin
+      Array.fill t.ids 0 t.len (-1);
+      t.len <- 0;
+      fit t
+    end
+end
+
+(* Per-site protocol state is sparse: no per-peer structure below has an
+   N-slot array, so a site's memory follows the peers it actually talks to
+   (its quorum plus its requesters — O(K)) instead of the universe size.
+   At N = 10^6, N-slot arrays would cost 4 x 8 MB per instantiated site.
+   Nor is anything hashed on the per-message path: the replied set and
+   the per-requester sets are {!Sites}, and the stash is a short list
+   sorted by site. All of these are canonical, which the model checker's
+   polymorphic equality on states needs. *)
 type state = {
   self : int;
   piggyback_next : bool;
   eager_fails : bool;
-  mutable quorum : int list;
+  mutable quorum : int list;  (* in send order *)
+  mutable quorum_size : int;  (* distinct sites in [quorum] *)
   clock : Ts.Clock.t;
   (* requester role *)
   mutable req : Ts.t option;  (* outstanding request, None when idle *)
-  replied : (int, unit) Hashtbl.t;  (* arbiters whose permission is held *)
+  replied : Sites.t;
+      (* quorum members whose permission is held; all of them when its
+         size reaches [quorum_size] *)
   mutable failed : bool;  (* received a fail or sent a yield this round *)
   mutable in_cs : bool;
   mutable tran_stack : (int * Ts.t) list;  (* (arbiter, target), newest first *)
@@ -52,11 +122,12 @@ type state = {
   mutable lock : Ts.t;  (* request holding this site's permission *)
   queue : Ts_queue.t;  (* waiting requests, best first *)
   mutable inquired : bool;  (* inquire outstanding for the current lock *)
-  fail_noted : (int, unit) Hashtbl.t;
+  fail_noted : Sites.t;
       (* sites whose queued request was already failed, so they will yield
          if inquired elsewhere; never fail a request twice *)
-  pending : (int, Ts.t * pending_action) Hashtbl.t;  (* keyed by site *)
-  dead : (int, unit) Hashtbl.t;
+  mutable pending : (int * (Ts.t * pending_action)) list;
+      (* keyed by site, sorted by site *)
+  dead : Sites.t;
       (* set by the Section 6 recovery only; the arbiter must never assign
          its lock to (or queue) a request from a crashed site — in-flight
          releases can otherwise hand the permission to the dead *)
@@ -69,17 +140,56 @@ let describe (c : config) = Printf.sprintf "K=%.1f" c.k_hint
 let message_kind = Messages.kind
 let pp_message = Messages.pp
 
+(* Lists of site ids, and lists keyed by them, searched with [int]
+   comparisons rather than the polymorphic compare. *)
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: rest -> x = y || mem_int x rest
+
+let rec assoc_opt (k : int) = function
+  | [] -> None
+  | (k', v) :: rest -> if k = k' then Some v else assoc_opt k rest
+
+let pending_set st site v =
+  let rec go = function
+    | [] -> [ (site, v) ]
+    | ((k, _) as e) :: rest ->
+      if site < k then (site, v) :: e :: rest
+      else if site = k then (site, v) :: rest
+      else e :: go rest
+  in
+  st.pending <- go st.pending
+
+let pending_remove st site =
+  if List.exists (fun (k, _) -> k = site) st.pending then
+    st.pending <- List.filter (fun (k, _) -> k <> site) st.pending
+
+let is_member st site = mem_int site st.quorum
+let distinct quorum = List.length (List.sort_uniq Int.compare quorum)
+let has_replied st arbiter = Sites.mem st.replied arbiter
+
+(* Adopt a new quorum; permissions held from arbiters in both quorums stay
+   held. *)
+let set_quorum st q =
+  List.iter
+    (fun a -> if not (mem_int a q) then Sites.remove st.replied a)
+    (Sites.to_list st.replied);
+  st.quorum <- q;
+  st.quorum_size <- distinct q
+
 let init (ctx : message Proto.ctx) (c : config) =
   if Ct.assignment_size c.assignment <> ctx.n then
     invalid_arg "Delay_optimal.init: req_sets size mismatch";
+  let quorum = Ct.quorum_of c.assignment ctx.self in
   {
     self = ctx.self;
     piggyback_next = c.piggyback_next;
     eager_fails = c.eager_fails;
-    quorum = Ct.quorum_of c.assignment ctx.self;
+    quorum;
+    quorum_size = distinct quorum;
     clock = Ts.Clock.create ();
     req = None;
-    replied = Hashtbl.create 8;
+    replied = Sites.create ();
     failed = false;
     in_cs = false;
     tran_stack = [];
@@ -87,19 +197,19 @@ let init (ctx : message Proto.ctx) (c : config) =
     lock = Ts.infinity;
     queue = Ts_queue.create ();
     inquired = false;
-    fail_noted = Hashtbl.create 8;
-    pending = Hashtbl.create 8;
-    dead = Hashtbl.create 8;
+    fail_noted = Sites.create ();
+    pending = [];
+    dead = Sites.create ();
   }
 
 (* ------------------------------------------------------------------ *)
 (* Requester role                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let all_replied st = List.for_all (Hashtbl.mem st.replied) st.quorum
+let all_replied st = Sites.length st.replied = st.quorum_size
 
 let check_enter (ctx : message Proto.ctx) st =
-  if st.req <> None && (not st.in_cs) && all_replied st then begin
+  if Option.is_some st.req && (not st.in_cs) && all_replied st then begin
     st.in_cs <- true;
     st.failed <- false;
     st.inq_queue <- [];
@@ -112,9 +222,9 @@ let send_yield (ctx : message Proto.ctx) st arbiter =
   match st.req with
   | None -> ()
   | Some own ->
-    if Hashtbl.mem st.replied arbiter then
+    if has_replied st arbiter then
       ctx.trace_event (Dmx_sim.Trace.Cede { arbiter });
-    Hashtbl.remove st.replied arbiter;
+    Sites.remove st.replied arbiter;
     st.failed <- true;
     st.tran_stack <- List.filter (fun (a, _) -> a <> arbiter) st.tran_stack;
     ctx.send ~dst:arbiter (Messages.Yield { of_req = own })
@@ -124,16 +234,16 @@ let send_yield (ctx : message Proto.ctx) st arbiter =
    hold every permission the exit-time release answers it implicitly, and
    before the reply arrives the inquire waits in inq_queue. *)
 let process_inquire (ctx : message Proto.ctx) st arbiter =
-  if st.req <> None && (not st.in_cs) && not (all_replied st) then begin
-    if Hashtbl.mem st.replied arbiter && st.failed then send_yield ctx st arbiter
-    else if not (List.mem arbiter st.inq_queue) then
+  if Option.is_some st.req && (not st.in_cs) && not (all_replied st) then begin
+    if has_replied st arbiter && st.failed then send_yield ctx st arbiter
+    else if not (mem_int arbiter st.inq_queue) then
       st.inq_queue <- arbiter :: st.inq_queue
   end
 
 (* Step A.7. *)
 let on_fail (ctx : message Proto.ctx) st ~arbiter =
   ignore arbiter;
-  if st.req <> None && (not st.in_cs) && not (all_replied st) then begin
+  if Option.is_some st.req && (not st.in_cs) && not (all_replied st) then begin
     st.failed <- true;
     let pending = st.inq_queue in
     st.inq_queue <- [];
@@ -143,7 +253,7 @@ let on_fail (ctx : message Proto.ctx) st ~arbiter =
 (* Step A.6 (with the req_queue -> inq_queue OCR fix, DESIGN.md §3.1). *)
 let on_reply (ctx : message Proto.ctx) st ~arbiter ~for_req ~next =
   let current = match st.req with Some own -> Ts.equal own for_req | None -> false in
-  if (not current) || not (List.mem arbiter st.quorum) then begin
+  if (not current) || not (is_member st arbiter) then begin
     (* A permission we no longer want (failure recovery abandoned the
        request, or the quorum was rebuilt without this arbiter): hand it
        straight back so the arbiter can re-grant. *)
@@ -152,13 +262,13 @@ let on_reply (ctx : message Proto.ctx) st ~arbiter ~for_req ~next =
       (Messages.Release { of_req = for_req; forwarded_to = None })
   end
   else begin
-    if not (Hashtbl.mem st.replied arbiter) then
+    if not (has_replied st arbiter) then
       ctx.trace_event (Dmx_sim.Trace.Acquire { arbiter });
-    Hashtbl.replace st.replied arbiter ();
+    Sites.add st.replied arbiter;
     (match next with
     | Some target -> st.tran_stack <- (arbiter, target) :: st.tran_stack
     | None -> ());
-    if List.mem arbiter st.inq_queue then begin
+    if mem_int arbiter st.inq_queue then begin
       st.inq_queue <- List.filter (fun a -> a <> arbiter) st.inq_queue;
       process_inquire ctx st arbiter
     end;
@@ -169,17 +279,17 @@ let on_reply (ctx : message Proto.ctx) st ~arbiter ~for_req ~next =
    arbiter's permission; stale ones are dropped. The piggybacked inquire is
    processed (or deferred) regardless. *)
 let on_transfer (ctx : message Proto.ctx) st ~src ~target ~inquire =
-  if st.req <> None && Hashtbl.mem st.replied src then
+  if Option.is_some st.req && has_replied st src then
     st.tran_stack <- (src, target) :: st.tran_stack;
   if inquire then process_inquire ctx st src
 
 (* Step A.1. *)
 let request_cs (ctx : message Proto.ctx) st =
-  assert (st.req = None && not st.in_cs);
+  assert (Option.is_none st.req && not st.in_cs);
   let ts = Ts.Clock.next st.clock ~site:st.self in
   st.req <- Some ts;
   st.failed <- false;
-  Hashtbl.reset st.replied;
+  Sites.clear st.replied;
   st.tran_stack <- [];
   st.inq_queue <- [];
   ctx.trace_event (Dmx_sim.Trace.Adopt_quorum st.quorum);
@@ -195,11 +305,11 @@ let release_cs (ctx : message Proto.ctx) st =
   let own = match st.req with Some own -> own | None -> assert false in
   st.in_cs <- false;
   st.req <- None;
-  let honored = Hashtbl.create 8 in
+  let honored = ref [] in
   List.iter
     (fun (arbiter, target) ->
-      if not (Hashtbl.mem honored arbiter) then begin
-        Hashtbl.add honored arbiter target;
+      if Option.is_none (assoc_opt arbiter !honored) then begin
+        honored := (arbiter, target) :: !honored;
         ctx.trace_event
           (Dmx_sim.Trace.Forward { arbiter; to_ = target.Ts.site });
         ctx.send ~dst:target.Ts.site
@@ -209,13 +319,12 @@ let release_cs (ctx : message Proto.ctx) st =
   st.tran_stack <- [];
   List.iter
     (fun j ->
-      if not (Hashtbl.mem honored j) then
+      let forwarded_to = assoc_opt j !honored in
+      if Option.is_none forwarded_to then
         ctx.trace_event (Dmx_sim.Trace.Cede { arbiter = j });
-      ctx.send ~dst:j
-        (Messages.Release
-           { of_req = own; forwarded_to = Hashtbl.find_opt honored j }))
+      ctx.send ~dst:j (Messages.Release { of_req = own; forwarded_to }))
     st.quorum;
-  Hashtbl.reset st.replied;
+  Sites.clear st.replied;
   st.failed <- false;
   st.inq_queue <- []
 
@@ -238,8 +347,8 @@ let send_transfer (ctx : message Proto.ctx) st target =
    always contains a site holding one permission while ranking behind
    another lock, and the fail is what makes it yield when inquired. *)
 let note_fail (ctx : message Proto.ctx) st (entry : Ts.t) =
-  if not (Hashtbl.mem st.fail_noted entry.Ts.site) then begin
-    Hashtbl.replace st.fail_noted entry.Ts.site ();
+  if not (Sites.mem st.fail_noted entry.Ts.site) then begin
+    Sites.add st.fail_noted entry.Ts.site;
     ctx.send ~dst:entry.Ts.site Messages.Fail
   end
 
@@ -254,9 +363,9 @@ let enforce_head_rule (ctx : message Proto.ctx) st =
   end
 
 let take_pending st (ts : Ts.t) =
-  match Hashtbl.find_opt st.pending ts.Ts.site with
+  match assoc_opt ts.Ts.site st.pending with
   | Some (pts, action) when Ts.equal pts ts ->
-    Hashtbl.remove st.pending ts.Ts.site;
+    pending_remove st ts.Ts.site;
     Some action
   | _ -> None
 
@@ -266,7 +375,7 @@ let take_pending st (ts : Ts.t) =
 let rec assign_lock (ctx : message Proto.ctx) st ts ~announce =
   st.lock <- ts;
   st.inquired <- false;
-  Hashtbl.remove st.fail_noted ts.Ts.site;
+  Sites.remove st.fail_noted ts.Ts.site;
   match take_pending st ts with
   | None -> announce ()
   | Some (Released forwarded_to) -> apply_release ctx st ~forwarded_to
@@ -278,7 +387,7 @@ let rec assign_lock (ctx : message Proto.ctx) st ts ~announce =
    the runner-up (steps A.4 and the release(max) path). *)
 and grant_next (ctx : message Proto.ctx) st =
   match Ts_queue.pop st.queue with
-  | Some best when Hashtbl.mem st.dead best.Ts.site -> grant_next ctx st
+  | Some best when Sites.mem st.dead best.Ts.site -> grant_next ctx st
   | Some best ->
     assign_lock ctx st best ~announce:(fun () ->
         let next =
@@ -302,7 +411,7 @@ and grant_next (ctx : message Proto.ctx) st =
 (* The receiving side of a release (step C.2, DESIGN.md §3.6). *)
 and apply_release (ctx : message Proto.ctx) st ~forwarded_to =
   match forwarded_to with
-  | Some x when not (Hashtbl.mem st.dead x.Ts.site) ->
+  | Some x when not (Sites.mem st.dead x.Ts.site) ->
     (* The exiting holder already forwarded our permission to [x]. Remove
        exactly that request from the queue (x may have re-requested). A
        target found neither queued nor stashed has been purged since the
@@ -313,7 +422,7 @@ and apply_release (ctx : message Proto.ctx) st ~forwarded_to =
        the lock on a request nobody will ever release. *)
     let queued = Ts_queue.remove_ts st.queue x in
     let stashed =
-      match Hashtbl.find_opt st.pending x.Ts.site with
+      match assoc_opt x.Ts.site st.pending with
       | Some (pts, _) -> Ts.equal pts x
       | None -> false
     in
@@ -338,7 +447,7 @@ let on_request (ctx : message Proto.ctx) st ~src ts =
   (* Note: a stashed action from this site's PREVIOUS request must survive
      the arrival of its next request — the stash resolves precisely when
      the old holder's release assigns the lock to that previous request. *)
-  if Hashtbl.mem st.dead src then () (* a last gasp from a crashed site *)
+  if Sites.mem st.dead src then () (* a last gasp from a crashed site *)
   else if Ts.is_infinity st.lock then
     assign_lock ctx st ts ~announce:(fun () ->
         ctx.trace_event (Dmx_sim.Trace.Grant { to_ = src });
@@ -347,7 +456,7 @@ let on_request (ctx : message Proto.ctx) st ~src ts =
   else begin
     let old_head = Ts_queue.head st.queue in
     Ts_queue.insert st.queue ts;
-    Hashtbl.remove st.fail_noted src;
+    Sites.remove st.fail_noted src;
     match Ts_queue.head st.queue with
     | Some h when Ts.equal h ts ->
       (match old_head with
@@ -367,12 +476,12 @@ let on_yield (ctx : message Proto.ctx) st ~src ~of_req =
     grant_next ctx st
   end
   else if not (Ts.is_infinity st.lock) then
-    Hashtbl.replace st.pending src (of_req, Yielded)
+    pending_set st src (of_req, Yielded)
 
 let on_release (ctx : message Proto.ctx) st ~src ~of_req ~forwarded_to =
   if Ts.equal st.lock of_req then apply_release ctx st ~forwarded_to
   else if not (Ts.is_infinity st.lock) then
-    Hashtbl.replace st.pending src (of_req, Released forwarded_to)
+    pending_set st src (of_req, Released forwarded_to)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -402,7 +511,7 @@ let on_failure _ctx _st _site = ()
    so the arbiter accepts the rejoined site's requests again. *)
 let on_recovery _ctx _st _site = ()
 
-let mark_alive st site = Hashtbl.remove st.dead site
+let mark_alive st site = Sites.remove st.dead site
 
 (* ------------------------------------------------------------------ *)
 (* Section 6 failure recovery, shared with the fault-tolerant variant  *)
@@ -421,11 +530,11 @@ let mark_alive st site = Hashtbl.remove st.dead site
    stale conveyance still arrive later, on_reply's not-current branch
    hands it straight back, so the permission is never duplicated. *)
 let abandon_request (ctx : message Proto.ctx) st =
-  if st.req <> None && not st.in_cs then begin
+  if Option.is_some st.req && not st.in_cs then begin
     let own = match st.req with Some o -> o | None -> assert false in
     List.iter
       (fun k ->
-        if Hashtbl.mem st.replied k then send_yield ctx st k
+        if has_replied st k then send_yield ctx st k
         else
           ctx.send ~dst:k
             (Messages.Release { of_req = own; forwarded_to = None }))
@@ -438,7 +547,7 @@ let abandon_request (ctx : message Proto.ctx) st =
 
 let abandon_and_rerequest (ctx : message Proto.ctx) st new_quorum =
   abandon_request ctx st;
-  st.quorum <- new_quorum;
+  set_quorum st new_quorum;
   request_cs ctx st
 
 (* Arbiter-side cleanup — the three cases of Section 6 — for a site whose
@@ -457,8 +566,8 @@ let purge_stale_tenure (ctx : message Proto.ctx) st ~site =
     | None -> false
   in
   let removed = Ts_queue.remove_site st.queue site in
-  Hashtbl.remove st.fail_noted site;
-  Hashtbl.remove st.pending site;
+  Sites.remove st.fail_noted site;
+  pending_remove st site;
   if removed && was_head && not (Ts.is_infinity st.lock) then begin
     (match Ts_queue.head st.queue with
     | Some h -> send_transfer ctx st h
@@ -474,16 +583,16 @@ let purge_stale_tenure (ctx : message Proto.ctx) st ~site =
   if st.lock.Ts.site = site then grant_next ctx st
 
 let handle_site_failure (ctx : message Proto.ctx) st ~failed_site ~rebuild =
-  Hashtbl.replace st.dead failed_site ();
+  Sites.add st.dead failed_site;
   (* Requester side: a quorum containing the dead site can never be
      assembled; release what we hold, pick a new quorum, and re-request
      with a fresh timestamp. A site inside the CS keeps going — its exit
      releases normally (messages to the dead arbiter are simply lost). *)
-  if List.mem failed_site st.quorum && not st.in_cs then begin
+  if is_member st failed_site && not st.in_cs then begin
     match rebuild ~self:st.self ~avoid:(fun s -> s = failed_site) with
     | Some q ->
-      if st.req <> None then abandon_and_rerequest ctx st q
-      else st.quorum <- q
+      if Option.is_some st.req then abandon_and_rerequest ctx st q
+      else set_quorum st q
     | None ->
       ctx.trace_note "failure: no quorum can be rebuilt";
       abandon_request ctx st
@@ -498,26 +607,23 @@ module Internal = struct
   let inquired st = st.inquired
   let request st = st.req
 
-  let replied_from st =
-    Hashtbl.fold (fun k () acc -> k :: acc) st.replied []
-    |> List.sort Int.compare
+  let replied_from st = Sites.to_list st.replied
 
   let failed st = st.failed
   let in_cs st = st.in_cs
   let tran_stack st = st.tran_stack
   let inq_queue st = st.inq_queue
   let quorum st = st.quorum
-  let set_quorum st q = st.quorum <- q
+  let set_quorum = set_quorum
   let mark_alive = mark_alive
 
   let copy_state st =
     {
       st with
-      replied = Hashtbl.copy st.replied;
+      replied = Sites.copy st.replied;
       queue = Ts_queue.copy st.queue;
-      fail_noted = Hashtbl.copy st.fail_noted;
-      pending = Hashtbl.copy st.pending;
-      dead = Hashtbl.copy st.dead;
+      fail_noted = Sites.copy st.fail_noted;
+      dead = Sites.copy st.dead;
       clock = Ts.Clock.copy st.clock;
     }
 

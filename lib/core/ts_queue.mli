@@ -1,16 +1,25 @@
-(** Arbiter request queue: a tiny priority queue of request timestamps,
+(** Arbiter request queue: a small priority queue of request timestamps,
     highest priority (smallest timestamp) first.
 
     Queues hold at most one entry per site (a site has at most one
     outstanding request, Section 2) and are short (bounded by the number of
-    sites whose quorum contains this arbiter), so a sorted list keeps the
-    code obviously correct; removal by site id is needed by the release
-    path and the Section 6 failure cleanup. *)
+    sites whose quorum contains this arbiter); removal by site id is needed
+    by the release path and the Section 6 failure cleanup.
+
+    The queue is a sorted array. Insertion and removal shift entries in
+    place; they allocate only when the capacity changes. The value is
+    canonical: unused slots are cleared and the capacity depends on the
+    length alone, so two queues with the same entries are equal under
+    polymorphic equality, whatever sequence of operations built them. The
+    model checker relies on this to recognise revisited states. *)
 
 type t
 
 val create : unit -> t
+
 val copy : t -> t
+(** An independent queue with the same entries. *)
+
 val is_empty : t -> bool
 val length : t -> int
 

@@ -20,9 +20,6 @@ type config = {
          arrival or delivery) instead of all n up front; requires the
          Oracle detector. Off by default: eager instantiation stays the
          reference behavior. *)
-  dense_channels : bool;
-      (* force the reference N x N FIFO-watermark matrix instead of the
-         sparse per-channel table (small N only; for equivalence tests) *)
   obs : Dmx_obs.Registry.t option;
       (* metrics registry the run flushes its totals into (events, heap
          ops, executions, messages, per-kind counts). Flushed once at the
@@ -47,7 +44,6 @@ let default ~n =
     stall_timeout = 2000.0;
     trace = false;
     lazy_sites = false;
-    dense_channels = false;
     obs = None;
   }
 
@@ -153,6 +149,7 @@ module Make (P : Protocol.PROTOCOL) = struct
     backlog : int array;  (* application requests queued behind an active one *)
     site_execs : int array;  (* post-warmup CS completions per site *)
     detectors : Detector.t array;  (* empty in Oracle mode *)
+    times : float array;  (* delivery times of the copies of one send *)
     wl_rng : Rng.t;
     watchdog_armed : bool;
     mutable outstanding : int;  (* sites waiting for the CS *)
@@ -188,57 +185,63 @@ module Make (P : Protocol.PROTOCOL) = struct
   let make_ctx sim site_rngs self =
     let now () = Event_queue.now sim.q in
           let send ~dst msg =
+            let now = Event_queue.now sim.q in
             if dst = self then begin
               (* Rendering the payload is pure allocation when tracing is
                  off, and send is the hottest path in the engine — guard
                  every [asprintf] behind [Trace.enabled]. *)
               if Trace.enabled sim.trace then
-                Trace.record sim.trace ~time:(now ()) ~site:self
+                Trace.record sim.trace ~time:now ~site:self
                   (Trace.Send
                      { dst; msg = Format.asprintf "%a" P.pp_message msg });
-              sched_live sim ~time:(now ())
+              sched_live sim ~time:now
                 (Deliver { src = self; dst = self; msg; self_msg = true })
             end
             else begin
-              match Network.transmit sim.net ~src:self ~dst ~now:(now ()) with
-              | Network.Lost `Down ->
-                if Trace.enabled sim.trace then
-                  Trace.record sim.trace ~time:(now ()) ~site:self
-                    (Trace.Note
-                       (Format.asprintf "drop (crashed endpoint) -> %d : %a" dst
-                          P.pp_message msg))
-              | Network.Lost ((`Partitioned | `Faulty) as reason) ->
-                (* The send happened and is charged; the network ate it. *)
+              let copies =
+                Network.transmit_into sim.net ~src:self ~dst ~now sim.times
+              in
+              if copies = 0 then begin
+                match Network.last_drop sim.net with
+                | `Down ->
+                  if Trace.enabled sim.trace then
+                    Trace.record sim.trace ~time:now ~site:self
+                      (Trace.Note
+                         (Format.asprintf "drop (crashed endpoint) -> %d : %a"
+                            dst P.pp_message msg))
+                | (`Partitioned | `Faulty) as reason ->
+                  (* The send happened and is charged; the network ate it. *)
+                  if warmed sim then begin
+                    sim.messages <- sim.messages + 1;
+                    Stats.Counter.incr sim.counters (P.message_kind msg)
+                  end;
+                  Trace.record sim.trace ~time:now ~site:self
+                    (Trace.Drop
+                       {
+                         dst;
+                         reason =
+                           (match reason with
+                           | `Partitioned -> "partition"
+                           | `Faulty -> "loss");
+                       })
+              end
+              else begin
                 if warmed sim then begin
                   sim.messages <- sim.messages + 1;
                   Stats.Counter.incr sim.counters (P.message_kind msg)
                 end;
-                Trace.record sim.trace ~time:(now ()) ~site:self
-                  (Trace.Drop
-                     {
-                       dst;
-                       reason =
-                         (match reason with
-                         | `Partitioned -> "partition"
-                         | `Faulty -> "loss");
-                     })
-              | Network.Delivered ats ->
-                if warmed sim then begin
-                  sim.messages <- sim.messages + 1;
-                  Stats.Counter.incr sim.counters (P.message_kind msg)
-                end;
                 if Trace.enabled sim.trace then
-                  Trace.record sim.trace ~time:(now ()) ~site:self
+                  Trace.record sim.trace ~time:now ~site:self
                     (Trace.Send
                        { dst; msg = Format.asprintf "%a" P.pp_message msg });
-                List.iteri
-                  (fun i at ->
-                    if i > 0 then
-                      Trace.record sim.trace ~time:(now ()) ~site:self
-                        (Trace.Duplicate { dst });
-                    sched_live sim ~time:at
-                      (Deliver { src = self; dst; msg; self_msg = false }))
-                  ats
+                let ev = Deliver { src = self; dst; msg; self_msg = false } in
+                sched_live sim ~time:sim.times.(0) ev;
+                if copies = 2 then begin
+                  Trace.record sim.trace ~time:now ~site:self
+                    (Trace.Duplicate { dst });
+                  sched_live sim ~time:sim.times.(1) ev
+                end
+              end
             end
           in
           let enter_cs () =
@@ -440,7 +443,6 @@ module Make (P : Protocol.PROTOCOL) = struct
         q = Event_queue.create ();
         net =
           Network.create
-            ~channels:(if cfg.dense_channels then Network.Dense else Network.Sparse)
             ~faults:cfg.faults ~fault_rng ~n:cfg.n ~delay:cfg.delay
             ~rng:net_rng ();
         trace;
@@ -452,6 +454,7 @@ module Make (P : Protocol.PROTOCOL) = struct
         parked_since = Array.make cfg.n Float.nan;
         backlog = Array.make cfg.n 0;
         site_execs = Array.make cfg.n 0;
+        times = Array.make 2 0.0;
         detectors =
           (match hb_cfg with
           | None -> [||]
@@ -554,14 +557,13 @@ module Make (P : Protocol.PROTOCOL) = struct
         for dst = 0 to cfg.n - 1 do
           if dst <> site then begin
             sim.detector_msgs <- sim.detector_msgs + 1;
-            match Network.transmit sim.net ~src:site ~dst ~now:time with
-            | Network.Delivered ats ->
-              List.iter
-                (fun at ->
-                  Event_queue.schedule sim.q ~time:at
-                    (Heartbeat_arrive { src = site; dst }))
-                ats
-            | Network.Lost _ -> ()
+            let copies =
+              Network.transmit_into sim.net ~src:site ~dst ~now:time sim.times
+            in
+            for c = 0 to copies - 1 do
+              Event_queue.schedule sim.q ~time:sim.times.(c)
+                (Heartbeat_arrive { src = site; dst })
+            done
           end
         done;
         let newly = Detector.sweep sim.detectors.(site) ~now:time in
@@ -609,9 +611,10 @@ module Make (P : Protocol.PROTOCOL) = struct
     let processed = ref 0 in
     let rec loop () =
       if (not sim.stop) && Event_queue.now sim.q <= cfg.max_time then
-        match Event_queue.next sim.q with
-        | None -> ()
-        | Some { payload; time; _ } ->
+        if Event_queue.is_empty sim.q then ()
+        else
+          let payload = Event_queue.pop sim.q in
+          let time = Event_queue.now sim.q in
           if time > cfg.max_time then ()
           else begin
             incr processed;

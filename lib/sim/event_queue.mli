@@ -3,7 +3,14 @@
     Events are ordered by (time, insertion sequence number): simultaneous
     events fire in insertion order, which makes every simulation run fully
     deterministic for a given seed regardless of floating-point tie
-    patterns. *)
+    patterns.
+
+    The queue is a binary heap kept as parallel arrays: times in a flat
+    [float array], sequence numbers in an [int array], payloads in an
+    ['a array]. Once the arrays have grown to the working size,
+    {!schedule} allocates nothing and {!pop} only the boxed float that
+    {!now} returns; {!next} is a wrapper over {!pop} that builds the event
+    record. *)
 
 type 'a t
 
@@ -16,8 +23,13 @@ val schedule : 'a t -> time:float -> 'a -> unit
     than the last popped time (no scheduling into the past).
     @raise Invalid_argument otherwise. *)
 
+val pop : 'a t -> 'a
+(** Remove the earliest event, advance {!now} to its time and return its
+    payload, with no option and no event record.
+    @raise Invalid_argument on an empty queue. *)
+
 val next : 'a t -> 'a event option
-(** Remove and return the earliest event. *)
+(** {!pop} as an event record, [None] on an empty queue. *)
 
 val peek_time : 'a t -> float option
 (** Firing time of the earliest pending event. *)
@@ -32,7 +44,7 @@ val pushes : 'a t -> int
 (** Total events ever scheduled. *)
 
 val pops : 'a t -> int
-(** Total events ever popped via {!next}. *)
+(** Total events ever popped via {!pop} or {!next}. *)
 
 val peak : 'a t -> int
 (** High-water heap length — the engine flushes these three into its

@@ -32,16 +32,15 @@ let no_faults =
 type drop_reason = [ `Down | `Partitioned | `Faulty ]
 type verdict = Delivered of float list | Lost of drop_reason
 
-type channel_repr = Dense | Sparse
+type channel_repr = Sparse
 
-(* FIFO watermarks per directed channel, keyed by [src * n + dst]. The dense
-   form is the original N x N matrix (kept as the small-N reference and for
-   the fingerprint tests); the sparse form creates an entry on first send,
-   so memory follows touched links instead of N^2. A missing sparse entry
-   reads as 0.0, exactly the dense initial value, so the two forms are
-   observationally identical. *)
-type channels = Dense_c of float array | Sparse_c of (int, float) Hashtbl.t
-
+(* FIFO watermarks per directed channel: an open-addressing table from
+   [src * n + dst] to the latest delivery time handed out on that channel.
+   Keys live in an [int array] (-1 marks an empty slot) and values in a
+   flat [float array], with linear probing over a power-of-two capacity.
+   A missing key reads as 0.0, so a reset writes 0.0 in place and the
+   table never needs tombstones. Memory follows the touched links, not
+   N^2. *)
 type t = {
   n : int;
   delay : delay_model;
@@ -50,24 +49,15 @@ type t = {
   (* Dedicated generator for fault draws so enabling faults does not
      perturb the delay-sampling stream of fault-free components. *)
   fault_rng : Rng.t;
-  (* group.(p).(site): partition-group index of [site] under partition [p];
-     sites not listed in any group share the implicit "rest" group. *)
-  part_groups : int array array;
+  (* Each partition with its group index per site; sites not listed in
+     any group share the implicit "rest" group. *)
+  parts : (partition * int array) list;
   up : bool array;
-  (* last_delivery: latest delivery time handed out per directed channel,
-     used to enforce FIFO under random delays. *)
-  last_delivery : channels;
+  mutable keys : int array;
+  mutable marks : float array;
+  mutable used : int;  (* occupied slots *)
+  mutable drop : drop_reason;  (* why the last lost message was lost *)
 }
-
-let watermark t idx =
-  match t.last_delivery with
-  | Dense_c a -> a.(idx)
-  | Sparse_c h -> ( match Hashtbl.find_opt h idx with Some v -> v | None -> 0.0)
-
-let set_watermark t idx v =
-  match t.last_delivery with
-  | Dense_c a -> a.(idx) <- v
-  | Sparse_c h -> Hashtbl.replace h idx v
 
 let validate_faults ~n f =
   let bad fmt = Printf.ksprintf invalid_arg fmt in
@@ -98,28 +88,22 @@ let validate_faults ~n f =
         bad "Network.create: delay spike factor %g must be positive" factor)
     f.delay_spikes
 
-let create ?(channels = Sparse) ?(faults = no_faults) ?fault_rng ~n ~delay
-    ~rng () =
+let create ?channels:(_ : channel_repr option) ?(faults = no_faults)
+    ?fault_rng ~n ~delay ~rng () =
   if n <= 0 then invalid_arg "Network.create: n must be positive";
-  if channels = Dense && n > 16_384 then
-    invalid_arg
-      (Printf.sprintf
-         "Network.create: dense channels allocate an N x N matrix; n=%d \
-          needs the sparse representation" n);
   validate_faults ~n faults;
   let fault_rng =
     match fault_rng with Some r -> r | None -> Rng.create 0x5eed_fa17
   in
-  let part_groups =
+  let parts =
     List.map
       (fun p ->
         (* Unlisted sites fall into one implicit rest-group (index 0). *)
         let g = Array.make n 0 in
         List.iteri (fun i sites -> List.iter (fun s -> g.(s) <- i + 1) sites)
           p.groups;
-        g)
+        (p, g))
       faults.partitions
-    |> Array.of_list
   in
   {
     n;
@@ -127,12 +111,12 @@ let create ?(channels = Sparse) ?(faults = no_faults) ?fault_rng ~n ~delay
     rng;
     faults;
     fault_rng;
-    part_groups;
+    parts;
     up = Array.make n true;
-    last_delivery =
-      (match channels with
-      | Dense -> Dense_c (Array.make (n * n) 0.0)
-      | Sparse -> Sparse_c (Hashtbl.create 64));
+    keys = Array.make 64 (-1);
+    marks = Array.make 64 0.0;
+    used = 0;
+    drop = `Down;
   }
 
 let n t = t.n
@@ -150,23 +134,23 @@ let check_site t i name =
   if i < 0 || i >= t.n then
     invalid_arg (Printf.sprintf "Network.%s: site %d out of range" name i)
 
-let partitioned t ~src ~dst ~now =
-  let rec loop i parts =
-    match parts with
-    | [] -> false
-    | p :: rest ->
-      if now >= p.from_t && now < p.until then
-        let g = t.part_groups.(i) in
-        if g.(src) <> g.(dst) then true else loop (i + 1) rest
-      else loop (i + 1) rest
-  in
-  loop 0 t.faults.partitions
+(* Top-level recursions rather than closures or folds, so the per-send
+   checks allocate nothing when there is nothing to check. *)
+let rec partitioned parts ~src ~dst ~now =
+  match parts with
+  | [] -> false
+  | (p, g) :: rest ->
+    (now >= p.from_t && now < p.until && g.(src) <> g.(dst))
+    || partitioned rest ~src ~dst ~now
 
-let spike_factor t ~now =
-  List.fold_left
-    (fun acc (from_t, until, factor) ->
-      if now >= from_t && now < until then acc *. factor else acc)
-    1.0 t.faults.delay_spikes
+(* Spikes active now compound, in plan order. *)
+let rec spike_factor acc spikes ~now =
+  match spikes with
+  | [] -> acc
+  | (from_t, until, factor) :: rest ->
+    spike_factor
+      (if now >= from_t && now < until then acc *. factor else acc)
+      rest ~now
 
 let partition_edges t =
   List.concat_map
@@ -175,28 +159,86 @@ let partition_edges t =
       :: (if Float.is_finite p.until then [ (p.until, true) ] else []))
     t.faults.partitions
 
-let deliver_one t ~idx ~now ~factor =
-  let at = Float.max (now +. (sample t *. factor)) (watermark t idx) in
-  set_watermark t idx at;
-  at
+(* Slot of [key]: where it is stored, or the empty slot ending its probe
+   sequence. *)
+let rec probe keys mask key i =
+  let k = keys.(i) in
+  if k = key || k < 0 then i else probe keys mask key ((i + 1) land mask)
 
-let transmit t ~src ~dst ~now =
+let slot keys key =
+  let mask = Array.length keys - 1 in
+  let h = key * 0x2545F4914F6CDD1D in
+  probe keys mask key ((h lxor (h lsr 29)) land mask)
+
+(* Keep the load at most 2/3, so there is always room for one more key. *)
+let reserve t =
+  if 3 * (t.used + 1) > 2 * Array.length t.keys then begin
+    let keys = t.keys and marks = t.marks in
+    let cap = 2 * Array.length keys in
+    t.keys <- Array.make cap (-1);
+    t.marks <- Array.make cap 0.0;
+    Array.iteri
+      (fun i k ->
+        if k >= 0 then begin
+          let j = slot t.keys k in
+          t.keys.(j) <- k;
+          t.marks.(j) <- marks.(i)
+        end)
+      keys
+  end
+
+let transmit_into t ~src ~dst ~now times =
   check_site t src "transmit";
   check_site t dst "transmit";
-  if not (t.up.(src) && t.up.(dst)) then Lost `Down
-  else if partitioned t ~src ~dst ~now then Lost `Partitioned
-  else if t.faults.loss > 0.0 && Rng.float t.fault_rng 1.0 < t.faults.loss then
-    Lost `Faulty
+  if not (t.up.(src) && t.up.(dst)) then begin
+    t.drop <- `Down;
+    0
+  end
+  else if partitioned t.parts ~src ~dst ~now then begin
+    t.drop <- `Partitioned;
+    0
+  end
+  else if t.faults.loss > 0.0 && Rng.float t.fault_rng 1.0 < t.faults.loss
+  then begin
+    t.drop <- `Faulty;
+    0
+  end
   else begin
-    let idx = (src * t.n) + dst in
-    let factor = spike_factor t ~now in
-    let first = deliver_one t ~idx ~now ~factor in
+    let factor = spike_factor 1.0 t.faults.delay_spikes ~now in
+    reserve t;
+    let key = (src * t.n) + dst in
+    let i = slot t.keys key in
+    if t.keys.(i) < 0 then begin
+      t.keys.(i) <- key;
+      t.used <- t.used + 1
+    end;
+    (* Successive copies on one channel never overtake each other. *)
+    let marks = t.marks in
+    let at = now +. (sample t *. factor) in
+    let at = if marks.(i) > at then marks.(i) else at in
+    marks.(i) <- at;
+    times.(0) <- at;
     if
       t.faults.duplication > 0.0
       && Rng.float t.fault_rng 1.0 < t.faults.duplication
-    then Delivered [ first; deliver_one t ~idx ~now ~factor ]
-    else Delivered [ first ]
+    then begin
+      let at = now +. (sample t *. factor) in
+      let at = if marks.(i) > at then marks.(i) else at in
+      marks.(i) <- at;
+      times.(1) <- at;
+      2
+    end
+    else 1
   end
+
+let last_drop t = t.drop
+
+let transmit t ~src ~dst ~now =
+  let times = Array.make 2 0.0 in
+  match transmit_into t ~src ~dst ~now times with
+  | 0 -> Lost t.drop
+  | 1 -> Delivered [ times.(0) ]
+  | _ -> Delivered [ times.(0); times.(1) ]
 
 let delivery_time t ~src ~dst ~now =
   match transmit t ~src ~dst ~now with
@@ -212,20 +254,10 @@ let recover t i =
   check_site t i "recover";
   t.up.(i) <- true;
   (* Channels restart empty: reset FIFO watermarks touching this site. *)
-  (match t.last_delivery with
-  | Dense_c a ->
-    for j = 0 to t.n - 1 do
-      a.((i * t.n) + j) <- 0.0;
-      a.((j * t.n) + i) <- 0.0
-    done
-  | Sparse_c h ->
-    let touching =
-      Hashtbl.fold
-        (fun idx _ acc ->
-          if idx / t.n = i || idx mod t.n = i then idx :: acc else acc)
-        h []
-    in
-    List.iter (Hashtbl.remove h) touching)
+  Array.iteri
+    (fun j k ->
+      if k >= 0 && (k / t.n = i || k mod t.n = i) then t.marks.(j) <- 0.0)
+    t.keys
 
 let is_up t i =
   check_site t i "is_up";

@@ -50,24 +50,26 @@ type verdict =
 type t
 
 type channel_repr =
-  | Dense  (** the original N x N FIFO-watermark matrix — small N only *)
   | Sparse
-      (** per-channel watermarks created on first send; memory follows
-          touched links instead of N², enabling universes of 10⁶ sites.
-          Observationally identical to [Dense]: a missing entry reads as the
-          dense initial value, and the delay/fault RNG streams are untouched
-          by the representation. *)
+      (** The one channel representation. This type and the ignored
+          [?channels] argument of {!create} are kept only because the
+          benchmark harness passes [~channels:Sparse]; both go with the
+          next change to the benchmark. *)
 
 val create :
   ?channels:channel_repr -> ?faults:fault_plan -> ?fault_rng:Rng.t ->
   n:int -> delay:delay_model -> rng:Rng.t -> unit -> t
 (** [create ~n ~delay ~rng ()] models a fully connected network of [n]
     sites. The generator is consumed for delay sampling; pass a dedicated
-    split. [channels] defaults to [Sparse]; dense is refused above
-    n = 16384 (the matrix would dominate memory). [faults] defaults to
-    {!no_faults}; fault draws consume
-    [fault_rng] (a fixed-seed generator when omitted), never [rng], so the
-    delay stream is identical with and without faults.
+    split. [channels] is ignored. [faults] defaults to {!no_faults}; fault
+    draws consume [fault_rng] (a fixed-seed generator when omitted), never
+    [rng], so the delay stream is identical with and without faults.
+
+    The per-channel FIFO watermarks live in one open-addressing table
+    keyed by [src * n + dst], with the times unboxed in a flat
+    [float array]. An entry is created on a channel's first delivered
+    message, so memory follows the touched links rather than N², which
+    is what lets a universe of 10⁶ sites run.
     @raise Invalid_argument on malformed plans: probabilities outside
     [0, 1), empty windows, overlapping or out-of-range partition groups,
     non-positive spike factors. *)
@@ -76,12 +78,25 @@ val n : t -> int
 
 val fault_plan : t -> fault_plan
 
-val transmit : t -> src:int -> dst:int -> now:float -> verdict
-(** Full fault-aware send: reports the delivery time of every surviving
-    copy, or why the message was lost. Successive delivered copies on the
+val transmit_into :
+  t -> src:int -> dst:int -> now:float -> float array -> int
+(** [transmit_into t ~src ~dst ~now times] is the full fault-aware send,
+    without allocation. It returns the number of delivered copies, 1 or 2
+    (duplication), and writes their delivery times to [times.(0)] and
+    [times.(1)]; [times] needs two cells. It returns 0 when the message was
+    lost; {!last_drop} then says why. Successive delivered copies on the
     same (src, dst) pair have non-decreasing times, preserving the FIFO
     channel guarantee even under random per-message delays. Lost messages
-    do not advance the FIFO watermark. *)
+    do not advance the FIFO watermark. Draw order: the loss draw on
+    [fault_rng], then one delay sample per copy on [rng], the duplication
+    draw on [fault_rng] between the two. *)
+
+val last_drop : t -> drop_reason
+(** Why the last message {!transmit_into} reported lost was lost. *)
+
+val transmit : t -> src:int -> dst:int -> now:float -> verdict
+(** {!transmit_into} as a {!verdict}: the delivery time of every
+    surviving copy, or why the message was lost. *)
 
 val delivery_time : t -> src:int -> dst:int -> now:float -> float option
 (** Compatibility wrapper over {!transmit}: the first surviving copy's

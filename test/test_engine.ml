@@ -318,12 +318,15 @@ let test_bad_config_rejected () =
       { (E.default ~n:3) with crashes = [ (1.0, 99) ] };
     ]
 
-let test_sparse_dense_fingerprint () =
-  (* the sparse per-channel watermark table must be observationally
-     IDENTICAL to the dense N x N matrix: same RNG draws, same delivery
-     times, same trace, bit for bit. Run every baseline protocol both ways
-     (random per-message delays so the watermarks actually matter) and
-     compare full traces plus the report's aggregates. *)
+let test_channel_fingerprint () =
+  (* Every run below is pinned to a digest of its full trace (times in hex,
+     so a last-ulp drift in any delivery time shows) plus the report's
+     aggregates. The digests were recorded with the engine's original
+     channel, queue and arbiter-queue representations, so they check that
+     a change of representation keeps every RNG draw, delivery time and
+     event order. Random per-message delays make the FIFO watermarks
+     matter; the faulty plan adds loss, duplication, a delay spike and a
+     crash/recover pair, which drives [Network.recover]. *)
   let module Trace = Dmx_sim.Trace in
   let module R = Dmx_baselines.Runner in
   let module Net = Dmx_sim.Network in
@@ -336,20 +339,6 @@ let test_sparse_dense_fingerprint () =
       delay = Net.Uniform { lo = 0.5; hi = 1.5 };
     }
   in
-  let runners =
-    [
-      R.delay_optimal ~n ();
-      R.maekawa ~n ();
-      R.lamport ~n;
-      R.ricart_agrawala ~n;
-      R.suzuki_kasami ~n;
-      R.raymond ~n ();
-    ]
-  in
-  (* a seeded fault plan drives the loss/duplication/spike and the
-     crash-recovery [Network.recover] code paths, where the two channel
-     representations differ most; the FT variant's reliability layer keeps
-     the run live under them *)
   let faults =
     {
       Net.no_faults with
@@ -359,42 +348,104 @@ let test_sparse_dense_fingerprint () =
     }
   in
   let faulty =
-    ( { base with E.faults; crashes = [ (20.0, 2) ]; recoveries = [ (45.0, 2) ] },
-      R.ft_delay_optimal ~reliability:Dmx_core.Reliable.default ~n () )
+    { base with E.faults; crashes = [ (20.0, 2) ]; recoveries = [ (45.0, 2) ] }
   in
-  let compare_runs label cfg (r : R.t) =
-    let go dense =
-      let sink = Trace.create ~enabled:true () in
-      let rep = r.R.run_traced ~trace_sink:sink { cfg with E.dense_channels = dense } in
-      (rep, Trace.entries sink)
-    in
-    let rep_s, tr_s = go false in
-    let rep_d, tr_d = go true in
-    let lbl what = Printf.sprintf "%s %s: %s" r.R.name label what in
-    Alcotest.(check int) (lbl "trace length") (List.length tr_d)
-      (List.length tr_s);
-    List.iter2
-      (fun (a : Trace.entry) (b : Trace.entry) ->
-        if a <> b then
-          Alcotest.failf "%s: traces diverge at t=%g site=%d"
-            (lbl "entries") a.Trace.time a.Trace.site)
-      tr_d tr_s;
-    Alcotest.(check int) (lbl "messages") rep_d.E.total_messages
-      rep_s.E.total_messages;
-    Alcotest.(check int) (lbl "executions") rep_d.E.executions
-      rep_s.E.executions;
-    Alcotest.(check (float 0.0)) (lbl "sim time") rep_d.E.sim_time
-      rep_s.E.sim_time;
-    Alcotest.(check (float 0.0)) (lbl "throughput") rep_d.E.throughput
-      rep_s.E.throughput;
-    Alcotest.(check int) (lbl "violations") rep_d.E.violations
-      rep_s.E.violations;
-    Alcotest.(check bool) (lbl "per-site counts") true
-      (rep_d.E.per_site_executions = rep_s.E.per_site_executions)
+  let digest cfg (r : R.t) =
+    let sink = Trace.create ~enabled:true () in
+    let rep = r.R.run_traced ~trace_sink:sink cfg in
+    let entries = Trace.entries sink in
+    let b = Buffer.create 65536 in
+    List.iter
+      (fun (e : Trace.entry) ->
+        Buffer.add_string b
+          (Format.asprintf "%h|%d|%a\n" e.Trace.time e.Trace.site
+             Trace.pp_entry e))
+      entries;
+    Buffer.add_string b
+      (Printf.sprintf "msgs=%d execs=%d time=%h tput=%h viol=%d sites=%s"
+         rep.E.total_messages rep.E.executions rep.E.sim_time
+         rep.E.throughput rep.E.violations
+         (String.concat ","
+            (Array.to_list
+               (Array.map string_of_int rep.E.per_site_executions))));
+    ( Digest.to_hex (Digest.string (Buffer.contents b)),
+      List.exists (fun (e : Trace.entry) -> e.Trace.kind = Trace.Recover)
+        entries )
   in
-  List.iter (fun r -> compare_runs "clean" base r) runners;
-  let cfg, ft = faulty in
-  compare_runs "faulty" cfg ft
+  List.iter
+    (fun (label, cfg, r, expected) ->
+      let hex, recovered = digest cfg r in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s: trace digest" r.R.name label)
+        expected hex;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: recovery ran" r.R.name label)
+        (cfg.E.recoveries <> []) recovered)
+    [
+      ("clean", base, R.delay_optimal ~n (),
+        "95b29a1ac036f8db19b0308b9b5ca099");
+      ("clean", base, R.maekawa ~n (), "ce886fc0280ae0a3ea705cd1be3c214b");
+      ("clean", base, R.lamport ~n, "7050f1654d5d217167e3fe0489b98ef5");
+      ("clean", base, R.ricart_agrawala ~n, "8e39903146fefc38c120f143575f6fdf");
+      ("clean", base, R.suzuki_kasami ~n, "2760db0c2bff2dc9d0169d22f6058289");
+      ("clean", base, R.raymond ~n (), "bd84a46eaac2b32054411b3c1edc63bf");
+      ( "faulty",
+        faulty,
+        R.ft_delay_optimal ~reliability:Dmx_core.Reliable.default ~n (),
+        "2bcba877d9ac6c34f87cf3d2e4ff70d7" );
+    ]
+
+(* Exact cost counters for the engine's hot path: a saturated n = 81 grid
+   run of the delay-optimal protocol, 2,000 CS, fixed seed. Events and
+   messages per CS are functions of the seed and are pinned exactly; a
+   change that adds or loses an event or a message fails here on any
+   host. Minor-heap words per CS depend on the compiler and the standard
+   library, so they are held under a ceiling instead. The run allocates
+   about 2,080 words per CS on OCaml 5.1; boxed event records, list
+   arbiter queues and hashtable channels cost about 7,800. The ceiling of
+   3,000 leaves room for other compilers and still fails a change that
+   brings back part of that cost. *)
+module DO_engine = E.Make (Dmx_core.Delay_optimal)
+
+let test_exact_counts_n81 () =
+  let module Reg = Dmx_obs.Registry in
+  let n = 81 and execs = 2_000 in
+  let pcfg =
+    Dmx_core.Delay_optimal.config (Dmx_quorum.Builder.req_sets Grid ~n)
+  in
+  let reg = Reg.create () in
+  let cfg =
+    {
+      (E.default ~n) with
+      E.seed = 1913;
+      cs_duration = 1.0;
+      max_executions = execs;
+      warmup = 0;
+      obs = Some reg;
+    }
+  in
+  let w0 = Gc.minor_words () in
+  let r = DO_engine.run cfg pcfg in
+  let words = (Gc.minor_words () -. w0) /. float_of_int execs in
+  let events = Dmx_obs.Snapshot.get (Reg.snapshot reg) "engine.events" in
+  Alcotest.(check int) "executions" execs r.E.executions;
+  Alcotest.(check int) "violations" 0 r.E.violations;
+  Alcotest.(check int) "events" 173_284 events;
+  Alcotest.(check int) "messages" 160_861 r.E.total_messages;
+  Alcotest.(check (list (pair string int)))
+    "messages by kind"
+    [
+      ("fail", 33_200);
+      ("release", 32_000);
+      ("reply", 30_324);
+      ("reply+transfer", 2_022);
+      ("request", 33_280);
+      ("transfer", 30_035);
+    ]
+    r.E.messages_by_kind;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per CS %.0f under 3000" words)
+    true (words < 3000.0)
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -412,5 +463,6 @@ let suite =
       ("trace consistency", test_trace_consistency);
       ("poisson rate accuracy", test_poisson_rate_accuracy);
       ("bad config rejected", test_bad_config_rejected);
-      ("sparse = dense channel fingerprint", test_sparse_dense_fingerprint);
+      ("pinned channel fingerprint", test_channel_fingerprint);
+      ("exact counts and allocation ceiling, n=81", test_exact_counts_n81);
     ]

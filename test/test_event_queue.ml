@@ -134,6 +134,74 @@ let qcheck_ordered_drain =
       in
       ok drained)
 
+(* The heap against a sorted-list reference, over interleaved schedules,
+   pops (through both [pop] and [next]) and drops. Times are drawn from a
+   few offsets of [now], so ties are common and the (time, seq) order is
+   what decides. *)
+type eq_op = Schedule of int | Pop | Next | Drop of int
+
+let qcheck_matches_sorted_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun d -> Schedule d) (0 -- 3));
+          (3, return Pop);
+          (2, return Next);
+          (1, map (fun m -> Drop m) (2 -- 4));
+        ])
+  in
+  let print = function
+    | Schedule d -> Printf.sprintf "schedule +%d" d
+    | Pop -> "pop"
+    | Next -> "next"
+    | Drop m -> Printf.sprintf "drop mod %d" m
+  in
+  QCheck.Test.make ~name:"matches a sorted-list reference" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list print)
+       QCheck.Gen.(list_size (0 -- 300) op))
+    (fun ops ->
+      let q = Eq.create () in
+      (* reference: (time, seq) pairs in pop order; the seq is the payload *)
+      let pending = ref [] and now = ref 0.0 and seq = ref 0 in
+      let take () =
+        match !pending with
+        | [] -> None
+        | ((t, _) as e) :: rest ->
+          pending := rest;
+          now := t;
+          Some e
+      in
+      let step = function
+        | Schedule d ->
+          let time = !now +. (0.5 *. float_of_int d) in
+          Eq.schedule q ~time !seq;
+          pending := List.merge compare !pending [ (time, !seq) ];
+          incr seq;
+          true
+        | Pop -> (
+          match take () with
+          | None -> Eq.is_empty q
+          | Some (t, s) -> Eq.pop q = s && Eq.now q = t)
+        | Next -> (
+          match (take (), Eq.next q) with
+          | None, None -> true
+          | Some (t, s), Some ev ->
+            ev.Eq.payload = s && ev.Eq.seq = s && ev.Eq.time = t && Eq.now q = t
+          | _ -> false)
+        | Drop m ->
+          let doomed (_, s) = s mod m = 0 in
+          let want = List.length (List.filter doomed !pending) in
+          pending := List.filter (fun e -> not (doomed e)) !pending;
+          Eq.drop_if q (fun s -> s mod m = 0) = want
+      in
+      List.for_all
+        (fun o ->
+          step o
+          && Eq.length q = List.length !pending
+          && Eq.peek_time q = Option.map fst (List.nth_opt !pending 0))
+        ops)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -152,4 +220,5 @@ let suite =
   @ [
       QCheck_alcotest.to_alcotest qcheck_ordered_drain;
       QCheck_alcotest.to_alcotest qcheck_drop_if_order;
+      QCheck_alcotest.to_alcotest qcheck_matches_sorted_reference;
     ]

@@ -236,6 +236,77 @@ let test_fault_validation () =
   Alcotest.(check bool) "zero spike factor" true
     (bad { Net.no_faults with delay_spikes = [ (0.0, 1.0, 0.0) ] })
 
+(* The channel table against a [Hashtbl] reference. A universe of 10^6
+   sites puts channel keys ([src * n + dst]) up to about 10^12; a pool of
+   48 sites gives up to 2,304 channels, enough to grow the table several
+   times. Three quarters of the picks come from four hot sites and the
+   clock moves in steps of at most 0.02 against delays near 1, so a hot
+   channel's watermark usually decides its next delivery time. The
+   reference draws the same uniform delays from a generator with the same
+   seed, so every delivery time must agree bit for bit, and [recover] must
+   reset every watermark touching the site. *)
+type net_op = Send of int * int * int * bool | Recover of int
+
+let qcheck_channel_table =
+  let n = 1_000_000 in
+  let pool = Array.init 48 (fun i -> if i = 47 then n - 1 else i * 20_831) in
+  let op =
+    QCheck.Gen.(
+      let site = frequency [ (3, 0 -- 3); (1, 0 -- 47) ] in
+      frequency
+        [
+          ( 12,
+            map
+              (fun (s, d, dt, w) -> Send (s, d, dt, w))
+              (quad site site (0 -- 2) bool) );
+          (1, map (fun s -> Recover s) site);
+        ])
+  in
+  let print = function
+    | Send (s, d, dt, w) -> Printf.sprintf "send %d->%d +%d %b" s d dt w
+    | Recover s -> Printf.sprintf "recover %d" s
+  in
+  QCheck.Test.make ~name:"channel table matches a Hashtbl reference"
+    ~count:100
+    QCheck.(
+      pair small_nat
+        (make ~print:(QCheck.Print.list print) Gen.(list_size (0 -- 3000) op)))
+    (fun (seed, ops) ->
+      let lo = 0.5 and hi = 1.5 in
+      let net =
+        Net.create ~n ~delay:(Net.Uniform { lo; hi }) ~rng:(Rng.create seed) ()
+      in
+      let ref_rng = Rng.create seed and marks = Hashtbl.create 64 in
+      let times = Array.make 2 0.0 and now = ref 0.0 in
+      List.for_all
+        (function
+          | Send (s, d, dt, wrapped) ->
+            now := !now +. (0.01 *. float_of_int dt);
+            let src = pool.(s) and dst = pool.(d) in
+            let key = (src * n) + dst in
+            let wm = Option.value ~default:0.0 (Hashtbl.find_opt marks key) in
+            let want = Float.max (!now +. Rng.uniform ref_rng ~lo ~hi) wm in
+            Hashtbl.replace marks key want;
+            let got =
+              if wrapped then
+                match Net.transmit net ~src ~dst ~now:!now with
+                | Net.Delivered [ at ] -> Some at
+                | Net.Delivered _ | Net.Lost _ -> None
+              else if Net.transmit_into net ~src ~dst ~now:!now times = 1 then
+                Some times.(0)
+              else None
+            in
+            got = Some want
+          | Recover s ->
+            let site = pool.(s) in
+            Net.recover net site;
+            Hashtbl.filter_map_inplace
+              (fun key v ->
+                if key / n = site || key mod n = site then None else Some v)
+              marks;
+            true)
+        ops)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -256,3 +327,4 @@ let suite =
       ("fault injection deterministic", test_fault_determinism);
       ("fault plans validated", test_fault_validation);
     ]
+  @ [ QCheck_alcotest.to_alcotest qcheck_channel_table ]

@@ -89,6 +89,125 @@ let qcheck_sorted =
       let sites = List.map (fun (t : Ts.t) -> t.site) l in
       sorted l && List.length sites = List.length (List.sort_uniq compare sites))
 
+(* The list implementation the sorted array replaced, kept as the
+   reference model. *)
+module Ref = struct
+  type t = { mutable entries : Ts.t list }
+
+  let create () = { entries = [] }
+
+  let insert t ts =
+    let newer_exists =
+      List.exists
+        (fun (e : Ts.t) -> e.site = ts.Ts.site && e.sn >= ts.Ts.sn)
+        t.entries
+    in
+    if not newer_exists then begin
+      let without =
+        List.filter (fun (e : Ts.t) -> e.site <> ts.Ts.site) t.entries
+      in
+      let rec ins = function
+        | [] -> [ ts ]
+        | e :: rest as l ->
+          if Ts.compare ts e < 0 then ts :: l else e :: ins rest
+      in
+      t.entries <- ins without
+    end
+
+  let pop t =
+    match t.entries with
+    | [] -> None
+    | e :: rest ->
+      t.entries <- rest;
+      Some e
+
+  let remove_site t site =
+    let before = List.length t.entries in
+    t.entries <- List.filter (fun (e : Ts.t) -> e.site <> site) t.entries;
+    List.length t.entries < before
+
+  let remove_ts t ts =
+    let before = List.length t.entries in
+    t.entries <- List.filter (fun e -> not (Ts.equal e ts)) t.entries;
+    List.length t.entries < before
+end
+
+type tq_op =
+  | Insert of int * int
+  | Pop
+  | Remove_site of int
+  | Remove_ts of int * int
+  | Clear
+  | Copy
+
+let qcheck_matches_list_model =
+  let sites = 12 in
+  let op =
+    QCheck.Gen.(
+      let site = 0 -- (sites - 1) in
+      frequency
+        [
+          (8, map (fun (sn, s) -> Insert (sn, s)) (pair (0 -- 30) site));
+          (2, return Pop);
+          (2, map (fun s -> Remove_site s) site);
+          (2, map (fun (sn, s) -> Remove_ts (sn, s)) (pair (0 -- 30) site));
+          (1, return Copy);
+          (1, return Clear);
+        ])
+  in
+  let print = function
+    | Insert (sn, s) -> Printf.sprintf "insert (%d,%d)" sn s
+    | Pop -> "pop"
+    | Remove_site s -> Printf.sprintf "remove_site %d" s
+    | Remove_ts (sn, s) -> Printf.sprintf "remove_ts (%d,%d)" sn s
+    | Clear -> "clear"
+    | Copy -> "copy"
+  in
+  QCheck.Test.make ~name:"matches the list model; canonical; copies independent"
+    ~count:500
+    (QCheck.make ~print:(QCheck.Print.list print)
+       QCheck.Gen.(list_size (0 -- 120) op))
+    (fun ops ->
+      let q = Q.create () and r = Ref.create () in
+      let copies = ref [] in
+      let agrees () =
+        Q.to_list q = r.Ref.entries
+        && Q.length q = List.length r.Ref.entries
+        && Q.is_empty q = (r.Ref.entries = [])
+        && Q.head q = (match r.Ref.entries with e :: _ -> Some e | [] -> None)
+        && List.for_all
+             (fun s ->
+               Q.find_site q s
+               = List.find_opt (fun (e : Ts.t) -> e.site = s) r.Ref.entries
+               && Q.mem_site q s = (Q.find_site q s <> None))
+             (List.init sites Fun.id)
+      in
+      let step = function
+        | Insert (sn, s) ->
+          Q.insert q (ts sn s);
+          Ref.insert r (ts sn s);
+          true
+        | Pop -> Q.pop q = Ref.pop r
+        | Remove_site s -> Q.remove_site q s = Ref.remove_site r s
+        | Remove_ts (sn, s) ->
+          Q.remove_ts q (ts sn s) = Ref.remove_ts r (ts sn s)
+        | Clear ->
+          Q.clear q;
+          r.Ref.entries <- [];
+          true
+        | Copy ->
+          copies := (Q.copy q, r.Ref.entries) :: !copies;
+          true
+      in
+      List.for_all (fun o -> step o && agrees ()) ops
+      (* copies taken along the way saw none of the later operations *)
+      && List.for_all (fun (c, snapshot) -> Q.to_list c = snapshot) !copies
+      &&
+      (* equal contents reached by another history are an equal value *)
+      let fresh = Q.create () in
+      List.iter (Q.insert fresh) (List.rev (Q.to_list q));
+      fresh = q)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -101,4 +220,7 @@ let suite =
       ("find_site", test_find_site);
       ("clear", test_clear);
     ]
-  @ [ QCheck_alcotest.to_alcotest qcheck_sorted ]
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_sorted;
+      QCheck_alcotest.to_alcotest qcheck_matches_list_model;
+    ]
