@@ -36,6 +36,14 @@ module Make (P : Proto.PROTOCOL) = struct
     traces : Trace.entry Queue.t;
   }
 
+  (* Sends of one message kind: the host's own total, and the registry
+     cell it also counts into, resolved on the kind's first send after
+     [attach_obs]. *)
+  type kind_count = {
+    mutable count : int;
+    mutable cell : Dmx_obs.Metric.Counter.t option;
+  }
+
   type t = {
     caps : caps;
     codec : codec;
@@ -44,24 +52,50 @@ module Make (P : Proto.PROTOCOL) = struct
     mutable shards : shard_state array;
     sessions : (int, float) Hashtbl.t;  (* session -> incarnation *)
     locks : (int * int, string) Hashtbl.t;  (* (session, req) -> lock *)
-    kinds : (string, int) Hashtbl.t;
+    kinds : (string, kind_count) Hashtbl.t;
     mutable sent : int;
     mutable received : int;
     mutable denies : int;
     mutable obs : Dmx_obs.Registry.t option;  (* set by [attach_obs] *)
+    render_buf : Buffer.t;
+        (* [render]'s output, one per host: hosts may run on different
+           domains, so the buffer is never shared between hosts *)
+    render_ppf : Format.formatter;  (* writes into [render_buf] *)
   }
 
   let count_kind t k =
-    Hashtbl.replace t.kinds k
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.kinds k));
+    let c =
+      match Hashtbl.find t.kinds k with
+      | c -> c
+      | exception Not_found ->
+        let c = { count = 0; cell = None } in
+        Hashtbl.add t.kinds k c;
+        c
+    in
+    c.count <- c.count + 1;
     match t.obs with
     | None -> ()
     | Some reg ->
-      Dmx_obs.Metric.Counter.incr
-        (Dmx_obs.Registry.counter reg "service.messages.kind"
-           ~labels:[ ("kind", k) ])
+      let cell =
+        match c.cell with
+        | Some cell -> cell
+        | None ->
+          let cell =
+            Dmx_obs.Registry.counter reg "service.messages.kind"
+              ~labels:[ ("kind", k) ]
+          in
+          c.cell <- Some cell;
+          cell
+      in
+      Dmx_obs.Metric.Counter.incr cell
 
-  let render msg = Format.asprintf "%a" P.pp_message msg
+  (* The same bytes as [Format.asprintf "%a"], without a fresh buffer and
+     formatter per message. *)
+  let render t msg =
+    Format.fprintf t.render_ppf "%a@?" P.pp_message msg;
+    let s = Buffer.contents t.render_buf in
+    Buffer.clear t.render_buf;
+    s
 
   (* Traces are per shard, in the shard's own site-id space: each shard's
      merged log must look to the oracle like a self-contained n-site
@@ -74,6 +108,7 @@ module Make (P : Proto.PROTOCOL) = struct
   let create ~caps ~codec ~self ~n ~shards ~lease ~seed ~pconfig =
     if shards < 1 then invalid_arg "Host: shards must be >= 1";
     if self < 0 || self >= n then invalid_arg "Host: self out of range";
+    let render_buf = Buffer.create 64 in
     let t =
       {
         caps;
@@ -88,6 +123,8 @@ module Make (P : Proto.PROTOCOL) = struct
         received = 0;
         denies = 0;
         obs = None;
+        render_buf;
+        render_ppf = Format.formatter_of_buffer render_buf;
       }
     in
     let make_shard index =
@@ -105,7 +142,7 @@ module Make (P : Proto.PROTOCOL) = struct
           now = caps.now;
           send =
             (fun ~dst msg ->
-              push_trace (Trace.Send { dst; msg = render msg });
+              push_trace (Trace.Send { dst; msg = render t msg });
               if dst = my_site then Queue.push msg selfq
               else begin
                 t.sent <- t.sent + 1;
@@ -248,7 +285,7 @@ module Make (P : Proto.PROTOCOL) = struct
       | Ok msg ->
         t.received <- t.received + 1;
         let src = Shard_map.site_of_node ~shard ~n:t.n src_node in
-        trace t sh (Trace.Receive { src; msg = render msg });
+        trace t sh (Trace.Receive { src; msg = render t msg });
         P.on_message sh.pctx sh.pstate ~src msg;
         settle t sh
       | Error e ->
@@ -292,14 +329,16 @@ module Make (P : Proto.PROTOCOL) = struct
   (* Self-sends are delivered at the next turn of the owning loop, as in
      the engine. *)
   let tick t =
-    Array.iter
-      (fun sh ->
+    for i = 0 to Array.length t.shards - 1 do
+      let sh = t.shards.(i) in
+      if !(sh.pending_enter) || not (Queue.is_empty sh.selfq) then begin
         while not (Queue.is_empty sh.selfq) do
           let msg = Queue.pop sh.selfq in
           P.on_message sh.pctx sh.pstate ~src:sh.my_site msg
         done;
-        settle t sh)
-      t.shards
+        settle t sh
+      end
+    done
 
   let drain_traces t =
     Array.fold_left
@@ -318,7 +357,8 @@ module Make (P : Proto.PROTOCOL) = struct
   let shard_count t = Array.length t.shards
   let session_count t = Hashtbl.length t.sessions
 
-  let kinds_alist t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.kinds []
+  let kinds_alist t =
+    Hashtbl.fold (fun k c acc -> (k, c.count) :: acc) t.kinds []
 
   let lease_stats t =
     let add acc alist =
@@ -355,5 +395,6 @@ module Make (P : Proto.PROTOCOL) = struct
     Dmx_obs.Registry.probe reg "service.denies" (fun () -> t.denies);
     Dmx_obs.Registry.gauge_probe reg "service.sessions" (fun () ->
         Hashtbl.length t.sessions);
+    Hashtbl.iter (fun _ c -> c.cell <- None) t.kinds;
     t.obs <- Some reg
 end

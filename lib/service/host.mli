@@ -40,6 +40,11 @@ module Make (P : Dmx_sim.Protocol.PROTOCOL) : sig
   }
 
   type t
+  (** One node's host. Everything a host writes on its send and receive
+      paths, the buffer that renders trace messages included, belongs to
+      that host, so hosts of one functor application may run on
+      different domains; a single host is not safe to share between
+      domains. *)
 
   val create :
     caps:caps ->
@@ -134,7 +139,7 @@ module Make (P : Dmx_sim.Protocol.PROTOCOL) : sig
       ({!Dmx_core.Lease.attach}, labelled [("shard", i)]), probes for
       [service.sent]/[service.received]/[service.denies], a
       [service.sessions] gauge probe, and live [service.messages.kind]
-      counters. [proto] (default: nothing) binds protocol-owned cells
-      under the same per-shard labels — e.g.
-      {!Dmx_core.Reliable.attach}. *)
+      counters, each resolved on its kind's first send after the call.
+      [proto] (default: nothing) binds protocol-owned cells under the
+      same per-shard labels — e.g. {!Dmx_core.Reliable.attach}. *)
 end

@@ -8,7 +8,7 @@
 module Trace = Dmx_sim.Trace
 module Summary = Dmx_sim.Stats.Summary
 module Rng = Dmx_sim.Rng
-module Heap = Dmx_sim.Heap
+module Event_queue = Dmx_sim.Event_queue
 module B = Dmx_quorum.Builder
 module Wire = Dmx_net.Wire
 
@@ -115,8 +115,6 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
 
   and wake = Start | Retry | Release | Renew | Failsafe
 
-  type sched = { at : float; seq : int; ev : ev }
-
   let run (cfg : config) ~(codec : H.codec) ?(live_stats = fun _ -> [])
       ?(attach_obs = fun _ ~labels:_ _ -> ())
       (pconfig : shard:int -> P.config) =
@@ -124,31 +122,25 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
     | Error _ as e -> e
     | Ok () ->
       let locks = if cfg.locks < 1 then cfg.clients else cfg.locks in
-      let now = ref 0.0 in
       let rng = Rng.create cfg.seed in
-      let heap =
-        Heap.create
-          ~cmp:(fun a b ->
-            let c = Float.compare a.at b.at in
-            if c <> 0 then c else Int.compare a.seq b.seq)
-          ()
-      in
-      let seq = ref 0 in
+      (* ordered by (time, insertion order); virtual time is the time of
+         the last popped event *)
+      let queue = Event_queue.create () in
+      let now () = Event_queue.now queue in
       let sched ~at ev =
-        incr seq;
-        Heap.add heap { at = Float.max at !now; seq = !seq; ev }
+        Event_queue.schedule queue ~time:(Float.max at (now ())) ev
       in
       (* per-directed-channel FIFO, like the TCP live path: a later
-         frame never overtakes an earlier one. the driver is channel
-         endpoint [n]. *)
-      let last_delivery = Hashtbl.create 64 in
+         frame never overtakes an earlier one. [last_delivery] holds each
+         link's latest delivery time at [src * (n + 1) + dst], 0.0 until
+         its first frame; the driver is channel endpoint [n]. *)
+      let endpoints = cfg.n + 1 in
+      let last_delivery = Array.make (endpoints * endpoints) 0.0 in
       let link ~src ~dst =
         let lat = Rng.exponential rng ~mean:cfg.latency in
-        let floor =
-          Option.value ~default:0.0 (Hashtbl.find_opt last_delivery (src, dst))
-        in
-        let at = Float.max (!now +. lat) floor in
-        Hashtbl.replace last_delivery (src, dst) at;
+        let i = (src * endpoints) + dst in
+        let at = Float.max (now () +. lat) last_delivery.(i) in
+        last_delivery.(i) <- at;
         at
       in
       let alive = Array.make cfg.n true in
@@ -193,7 +185,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       let make_host node =
         let caps =
           {
-            Host.now = (fun () -> !now);
+            Host.now;
             send_shard =
               (fun ~shard ~dst_node payload ->
                 sched ~at:(link ~src:node ~dst:dst_node)
@@ -208,7 +200,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
                 sched ~at:(link ~src:node ~dst:cfg.n) (To_driver frame));
             set_timer =
               (fun ~shard ~tag ~delay ->
-                sched ~at:(!now +. delay)
+                sched ~at:(now () +. delay)
                   (Timer { node; gen = gens.(node); shard; tag }));
           }
         in
@@ -267,7 +259,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
         end
         else begin
           c.phase <- Thinking;
-          wake ~at:(!now +. think_delay ()) c Start
+          wake ~at:(now () +. think_delay ()) c Start
         end
       in
       let start_round c =
@@ -280,9 +272,9 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
           end;
           c.req <- c.round + 1;
           acquires.(c.shard) <- acquires.(c.shard) + 1;
-          c.phase <- Waiting { sent_at = !now; last_try = !now };
+          c.phase <- Waiting { sent_at = now (); last_try = now () };
           send_acquire c;
-          wake ~at:(!now +. retry_interval) c Retry
+          wake ~at:(now () +. retry_interval) c Retry
         end
       in
       let next_live node =
@@ -301,19 +293,19 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
           match c.phase with
           | Waiting { sent_at; _ } when req = c.req ->
             grants.(c.shard) <- grants.(c.shard) + 1;
-            Summary.add latency.(c.shard) (!now -. sent_at);
+            Summary.add latency.(c.shard) (now () -. sent_at);
             Dmx_obs.Metric.Histogram.observe_s acq_hist.(c.shard)
-              (!now -. sent_at);
+              (now () -. sent_at);
             if cfg.abandon > 0.0 && Rng.float rng 1.0 < cfg.abandon then begin
               c.phase <- Draining;
-              wake ~at:(!now +. (2.0 *. cfg.lease) +. 1.0) c Failsafe
+              wake ~at:(now () +. (2.0 *. cfg.lease) +. 1.0) c Failsafe
             end
             else begin
-              let release_at = !now +. cfg.hold in
+              let release_at = now () +. cfg.hold in
               c.phase <- Holding { release_at };
               wake ~at:release_at c Release;
               if cfg.hold > cfg.lease /. 2.0 then
-                wake ~at:(!now +. (cfg.lease /. 2.0)) c Renew
+                wake ~at:(now () +. (cfg.lease /. 2.0)) c Renew
             end
           | _ -> ())
         | Wire.Expire { session; req; _ }
@@ -330,7 +322,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
           match c.phase with
           | Waiting w when req = c.req && reason = "no-session" ->
             c.opened <- false;
-            w.last_try <- !now;
+            w.last_try <- now ();
             send_acquire c
           | _ -> ())
         | _ -> ()
@@ -361,7 +353,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
             push_batch shard
               [
                 {
-                  Trace.time = !now;
+                  Trace.time = now ();
                   site = Shard_map.site_of_node ~shard ~n:cfg.n site;
                   kind = Trace.Crash;
                 };
@@ -370,7 +362,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
           for peer = 0 to cfg.n - 1 do
             if peer <> site && alive.(peer) then
               sched
-                ~at:(!now +. cfg.detect_delay)
+                ~at:(now () +. cfg.detect_delay)
                 (Notify { node = peer; about = site; up = false })
           done;
           Array.iter
@@ -382,7 +374,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
                 c.inc <- c.inc +. 1.0;
                 match c.phase with
                 | Waiting w ->
-                  w.last_try <- !now;
+                  w.last_try <- now ();
                   send_acquire c
                 | Holding _ | Draining ->
                   expiries.(c.shard) <- expiries.(c.shard) + 1;
@@ -401,7 +393,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
             push_batch shard
               [
                 {
-                  Trace.time = !now;
+                  Trace.time = now ();
                   site = Shard_map.site_of_node ~shard ~n:cfg.n site;
                   kind = Trace.Recover;
                 };
@@ -410,7 +402,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
           for peer = 0 to cfg.n - 1 do
             if peer <> site && alive.(peer) then
               sched
-                ~at:(!now +. cfg.detect_delay)
+                ~at:(now () +. cfg.detect_delay)
                 (Notify { node = peer; about = site; up = true })
           done
         end
@@ -420,19 +412,19 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
         match (what, c.phase) with
         | Start, Thinking -> start_round c
         | Retry, Waiting wt ->
-          if !now -. wt.last_try >= retry_interval -. 1e-9 then begin
-            wt.last_try <- !now;
+          if now () -. wt.last_try >= retry_interval -. 1e-9 then begin
+            wt.last_try <- now ();
             send_acquire c
           end;
-          wake ~at:(!now +. retry_interval) c Retry
+          wake ~at:(now () +. retry_interval) c Retry
         | Release, Holding _ ->
           to_node c
             (Wire.Release_lock { session = c.id; lock = c.lock; req = c.req });
           complete_round c
         | Renew, Holding { release_at } ->
-          if release_at > !now then begin
+          if release_at > now () then begin
             to_node c (Wire.Renew { session = c.id; lock = c.lock; req = c.req });
-            wake ~at:(!now +. (cfg.lease /. 2.0)) c Renew
+            wake ~at:(now () +. (cfg.lease /. 2.0)) c Renew
           end
         | Failsafe, Draining ->
           expiries.(c.shard) <- expiries.(c.shard) + 1;
@@ -452,13 +444,11 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       while
         (not !stuck)
         && (!completed < cfg.clients || !schedule_left > 0)
-        && !now <= cfg.max_time
+        && now () <= cfg.max_time
       do
-        match Heap.pop heap with
-        | None -> stuck := true
-        | Some { at; ev; _ } -> (
-          now := at;
-          match ev with
+        if Event_queue.is_empty queue then stuck := true
+        else begin
+          match Event_queue.pop queue with
           | To_node { node; frame } -> node_frame node frame
           | To_driver frame -> driver_frame frame
           | Timer { node; gen; shard; tag } ->
@@ -478,14 +468,15 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
               (if up then H.on_node_recovery hosts.(node) ~node:about
                else H.on_node_failure hosts.(node) ~node:about);
               H.tick hosts.(node)
-            end)
+            end
+        end
       done;
       if !completed < cfg.clients then
         Error
           (Printf.sprintf
              "sim-swarm: %s with %d/%d clients finished at t=%.3f"
              (if !stuck then "no events left" else "virtual-time limit hit")
-             !completed cfg.clients !now)
+             !completed cfg.clients (now ()))
       else begin
         let live_stats_arr = Array.make cfg.n [] in
         let snapshots = Array.make cfg.n Dmx_obs.Snapshot.empty in
@@ -508,7 +499,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
         Ok
           {
             Swarm.per_shard;
-            wall_seconds = !now;
+            wall_seconds = now ();
             completed_clients = !completed;
             rehomed_sessions = !rehomed;
             live_stats = live_stats_arr;

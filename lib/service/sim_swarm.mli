@@ -1,15 +1,24 @@
 (** The deterministic virtual-time twin of the live {!Swarm} driver.
 
     Runs the {e same} {!Host} logic and the same client state machines
-    as the live driver, but on a single event heap with a seeded RNG
-    driving think times, abandon decisions and per-frame link latencies
-    (channel-FIFO, like the TCP path). Node kills discard the host
-    (fresh state on restart, stale timers fenced by a generation
-    counter) and notify peers after [detect_delay], mirroring the live
-    failure detector. Two runs with the same config are identical —
-    traces, verdicts, percentiles — so the service is fuzzable and any
-    failure replays from its seed. Results come back as
-    {!Swarm.outcome} ([wall_seconds] is virtual time). *)
+    as the live driver, but on one {!Dmx_sim.Event_queue} with a seeded
+    RNG driving think times, abandon decisions and per-frame link
+    latencies. Events fire in (virtual time, insertion) order; an event
+    scheduled in the past is clamped to the current time.
+
+    Links are FIFO per direction, like the TCP path: a frame is
+    delivered no earlier than the previous frame on its link. The last
+    delivery time of every link sits in one flat [float array] of
+    [(n+1)²] cells, indexed [src * (n+1) + dst], where the driver is
+    endpoint [n]; a link's cell reads 0.0 until its first frame.
+
+    Node kills discard the host (fresh state on restart, stale timers
+    fenced by a generation counter) and notify peers after
+    [detect_delay], mirroring the live failure detector. Two runs with
+    the same config are identical — traces, verdicts, percentiles — so
+    the service is fuzzable and any failure replays from its seed.
+    Results come back as {!Swarm.outcome} ([wall_seconds] is virtual
+    time). *)
 
 module B = Dmx_quorum.Builder
 

@@ -295,6 +295,258 @@ let test_shared_validation () =
   rejected "sim restart without kill"
     (Sim_swarm.run_named { sim with Sim_swarm.restarts = [ (1.0, 1) ] })
 
+(* ---- pinned twin: values recorded before the allocation-lean rewrite ---- *)
+
+(* Crash-free, so the oracle's FIFO check compares the rendered message
+   strings of every send and receive. *)
+let pin_clean =
+  {
+    (Sim_swarm.default ~n:5) with
+    Sim_swarm.clients = 60;
+    shards = 4;
+    rounds = 3;
+    lease = 0.5;
+    seed = 1117;
+  }
+
+(* A node killed and restarted mid-run, with 5% of grants abandoned. *)
+let pin_kill =
+  {
+    (Sim_swarm.default ~n:5) with
+    Sim_swarm.clients = 200;
+    shards = 8;
+    rounds = 2;
+    abandon = 0.05;
+    lease = 0.5;
+    kills = [ (0.5, 1) ];
+    restarts = [ (1.5, 1) ];
+    seed = 2029;
+  }
+
+let digest_of pp xs =
+  let b = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer b in
+  List.iter (fun x -> Format.fprintf ppf "%a@\n" pp x) xs;
+  Format.pp_print_flush ppf ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Per shard: counters, latency mean and p99 bit-exact, the oracle's
+   verdict and a digest of the merged trace; then the re-homed sessions
+   and a digest of the fleet's merged metrics snapshot. *)
+let pin_lines ?(run = Sim_swarm.run_named) cfg =
+  match run cfg with
+  | Error e -> [ "error: " ^ e ]
+  | Ok o ->
+    let module Summary = Dmx_sim.Stats.Summary in
+    Array.to_list
+      (Array.map
+         (fun (s : Swarm.shard_outcome) ->
+           Format.asprintf
+             "shard %d acq=%d grants=%d exp=%d mean=%h p99=%h %a %s"
+             s.shard s.acquires s.grants s.expiries (Summary.mean s.latency)
+             (Summary.percentile s.latency 99.0) Dmx_sim.Oracle.pp_verdict
+             s.verdict
+             (digest_of Dmx_sim.Trace.pp_entry s.entries))
+         o.Swarm.per_shard)
+    @ [
+        Printf.sprintf "rehomed=%d" o.Swarm.rehomed_sessions;
+        "snapshot "
+        ^ Digest.to_hex
+            (Digest.string (Dmx_obs.Export.json (Swarm.merged_snapshot o)));
+      ]
+
+let pinned_clean =
+  [
+    "shard 0 acq=48 grants=48 exp=0 mean=0x1.6e7c3631c87b3p-7 p99=0x1.82206a3b9b945p-5 trace OK: 1712 entries, 32 CS executions, 477 messages 9c609b3cbe65e4c01877e042d806e1ab";
+    "shard 1 acq=42 grants=42 exp=0 mean=0x1.c63b30f8fbe2bp-7 p99=0x1.b4e9a8541d316p-5 trace OK: 1725 entries, 32 CS executions, 481 messages af13914b65956480d32438e53e82660d";
+    "shard 2 acq=42 grants=42 exp=0 mean=0x1.51e57375f8438p-7 p99=0x1.55d0fe7fbbe9cp-5 trace OK: 1521 entries, 29 CS executions, 425 messages 39d398e1b9475071b80d134f2abdbf8d";
+    "shard 3 acq=48 grants=48 exp=0 mean=0x1.06481a938146ep-6 p99=0x1.cce71f88d8d32p-5 trace OK: 1857 entries, 35 CS executions, 523 messages 0a903c790072f2a6933a8f9162eb0917";
+    "rehomed=0";
+    "snapshot cd85222c1f80a70059ea29ee5d687ed3";
+  ]
+
+let pinned_kill =
+  [
+    "shard 0 acq=48 grants=48 exp=2 mean=0x1.08e54436063c4p-1 p99=0x1.805592f938369p+0 trace OK: 1142 entries, 17 CS executions, 328 messages 7cd17123fd42d2125ccf324fd034c5e2";
+    "shard 1 acq=48 grants=48 exp=3 mean=0x1.2b08551d97163p-1 p99=0x1.8614205f6fe49p+0 trace OK: 1157 entries, 16 CS executions, 325 messages c3d5cd23d4cf5480e691ae9b73f41a79";
+    "shard 2 acq=50 grants=50 exp=3 mean=0x1.b172e02109ba8p-1 p99=0x1.05342e9938d4dp+1 trace OK: 807 entries, 12 CS executions, 233 messages bbbda02d158681e07633f96af12a1100";
+    "shard 3 acq=48 grants=48 exp=0 mean=0x1.1205db1a052c9p-5 p99=0x1.52ebb2e825b2cp-4 trace OK: 1180 entries, 19 CS executions, 339 messages 535c574f92c250b006ae3b4424672ca8";
+    "shard 4 acq=54 grants=54 exp=0 mean=0x1.ff6bbe4bddf4cp-6 p99=0x1.9cf777aa2c70ap-4 trace OK: 1417 entries, 25 CS executions, 399 messages fef7eedd9a35f39b51813269e547eda8";
+    "shard 5 acq=50 grants=50 exp=2 mean=0x1.f829fcbdcb4e1p-2 p99=0x1.e5b07d711bc69p+0 trace OK: 1055 entries, 15 CS executions, 305 messages 3f73727318b200cf840a3898459efd49";
+    "shard 6 acq=48 grants=48 exp=3 mean=0x1.27ee13d35814ep-1 p99=0x1.3a67de4528c84p+1 trace OK: 1134 entries, 16 CS executions, 327 messages 7fea8fbe1476cf07fdd0e86e3fcb64bd";
+    "shard 7 acq=54 grants=54 exp=5 mean=0x1.12f1f662f3b3ap+0 p99=0x1.87a52efea7becp+1 trace OK: 812 entries, 12 CS executions, 238 messages cc6dfb7d063bfa2dbfc9bdd1926c601d";
+    "rehomed=27";
+    "snapshot 7d34378d08bab949541eca6cf322b802";
+  ]
+
+let test_pinned_fingerprint () =
+  Alcotest.(check (list string))
+    "crash-free" pinned_clean (pin_lines pin_clean);
+  Alcotest.(check (list string))
+    "kill+restart" pinned_kill (pin_lines pin_kill)
+
+(* [Sim_swarm.run_named]'s ft-delay-optimal run, but on one functor
+   application shared by every caller, so state kept per application
+   rather than per host would be shared across domains. *)
+module Ft = Dmx_core.Ft_delay_optimal
+module Shared_run = Sim_swarm.Run (Ft)
+
+let run_shared (cfg : Sim_swarm.config) =
+  let reliability =
+    {
+      Dmx_core.Reliable.rto = cfg.rto;
+      backoff = 2.0;
+      rto_max = 16.0 *. cfg.rto;
+      ack_delay = 0.1 *. cfg.rto;
+    }
+  in
+  Shared_run.run cfg
+    ~codec:
+      {
+        Shared_run.H.encode = Wire.encode_message;
+        decode = Wire.decode_message;
+      }
+    ~attach_obs:(fun st ~labels reg ->
+      Option.iter
+        (fun r -> Dmx_core.Reliable.attach ~labels r reg)
+        (Ft.Internal.reliable st))
+    (fun ~shard:_ ->
+      Ft.config_of_kind ~reliability ~trust_detector:false cfg.quorum ~n:cfg.n
+        ~broadcast:false)
+
+(* Hosts may run on different domains, so nothing on a host's send or
+   receive path may be shared between hosts: two twins running at once
+   on one functor application, each on its own domain, must give exactly
+   their sequential outcomes. *)
+let test_parallel_domains () =
+  let both first second =
+    Domain.spawn (fun () ->
+        let a = pin_lines ~run:run_shared first in
+        let b = pin_lines ~run:run_shared second in
+        (a, b))
+  in
+  let d1 = both pin_clean pin_kill and d2 = both pin_kill pin_clean in
+  let c1, k1 = Domain.join d1 and k2, c2 = Domain.join d2 in
+  List.iter
+    (fun (what, expected, got) ->
+      Alcotest.(check (list string)) what expected got)
+    [
+      ("crash-free, domain 1", pinned_clean, c1);
+      ("kill+restart, domain 1", pinned_kill, k1);
+      ("kill+restart, domain 2", pinned_kill, k2);
+      ("crash-free, domain 2", pinned_clean, c2);
+    ]
+
+(* The reference: FNV-1a over boxed [Int64], folded as [Shard_map.hash]
+   folds it. *)
+let reference_hash s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun ch ->
+      h := Int64.logxor !h (Int64.of_int (Char.code ch));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  Int64.to_int !h land max_int
+
+let test_hash_reference () =
+  let same s =
+    Alcotest.(check int)
+      (Printf.sprintf "hash %S" s)
+      (reference_hash s) (SM.hash s)
+  in
+  (* the published 64-bit FNV-1a vectors, folded *)
+  List.iter
+    (fun (s, v) ->
+      Alcotest.(check int) (Printf.sprintf "vector %S" s)
+        (Int64.to_int v land max_int) (reference_hash s);
+      same s)
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ];
+  for i = 0 to 9_999 do
+    same (Printf.sprintf "lock-%d" i);
+    same (Printf.sprintf "user/%d/profile" i)
+  done;
+  let rng = Random.State.make [| 1913 |] in
+  (* bytes >= 0x80 too, which a signed byte read would get wrong *)
+  for _ = 1 to 2_000 do
+    let len = Random.State.int rng 40 in
+    same (String.init len (fun _ -> Char.chr (Random.State.int rng 256)));
+    same
+      (String.init len (fun _ -> Char.chr (0x80 + Random.State.int rng 0x80)))
+  done;
+  same (String.make 64 '\xff')
+
+(* ---- exact counts and an allocation ceiling for the twin ---- *)
+
+(* The perfbench swarm-sim shape at another seed: 2,000 saturating
+   clients on 16 shards, a node killed at 2 s and restarted at 4 s. The
+   counts were recorded before the allocation-lean rewrite, which left
+   them unchanged. That rewrite took the minor words from about 6,350 to
+   3,820 per grant on OCaml 5.1. Hashing lock names through boxed
+   [Int64] again costs about 1,030 words per grant, and a fresh
+   formatter per rendered message about 830, so either fails the 4,400
+   ceiling. *)
+let alloc_cfg =
+  {
+    (Sim_swarm.default ~n:5) with
+    Sim_swarm.clients = 2000;
+    shards = 16;
+    rounds = 2;
+    abandon = 0.05;
+    lease = 0.5;
+    kills = [ (2.0, 1) ];
+    restarts = [ (4.0, 1) ];
+    seed = 3301;
+  }
+
+let test_exact_counts_alloc () =
+  let w0 = Gc.minor_words () in
+  let o =
+    match Sim_swarm.run_named alloc_cfg with
+    | Ok o -> o
+    | Error e -> Alcotest.fail e
+  in
+  let words = Gc.minor_words () -. w0 in
+  let grants =
+    Array.fold_left (fun a s -> a + s.Swarm.grants) 0 o.Swarm.per_shard
+  in
+  let snap = Swarm.merged_snapshot o in
+  let kinds =
+    List.filter_map
+      (fun (s : Dmx_obs.Snapshot.series) ->
+        match s.value with
+        | Counter v when s.name = "service.messages.kind" ->
+          Some (List.assoc "kind" s.labels, v)
+        | _ -> None)
+      snap
+  in
+  let per_grant = words /. float_of_int grants in
+  Alcotest.(check bool) "clean" true (Swarm.ok o);
+  Alcotest.(check int) "grants" 4000 grants;
+  Alcotest.(check int)
+    "messages" 8976
+    (Dmx_obs.Snapshot.total snap "service.sent");
+  Alcotest.(check (list (pair string int)))
+    "messages by kind"
+    [
+      ("ack", 3358);
+      ("fail", 853);
+      ("inquire+transfer", 112);
+      ("release", 1048);
+      ("reply", 1175);
+      ("reply+transfer", 111);
+      ("request", 1046);
+      ("transfer", 929);
+      ("yield", 24);
+    ]
+    kinds;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per grant %.0f under 4400" per_grant)
+    true (per_grant < 4400.0)
+
 (* ---- live swarm (gated, like the heavy cluster scenarios) ---- *)
 
 let test_live_swarm_kill_restart () =
@@ -344,6 +596,13 @@ let suite =
     Alcotest.test_case "config validation" `Quick test_swarm_validation;
     Alcotest.test_case "shared validation, both drivers" `Quick
       test_shared_validation;
+    Alcotest.test_case "pinned sim-swarm fingerprint" `Quick
+      test_pinned_fingerprint;
+    Alcotest.test_case "sim-swarm on two domains" `Quick test_parallel_domains;
+    Alcotest.test_case "shard map hash matches the Int64 reference" `Quick
+      test_hash_reference;
+    Alcotest.test_case "exact counts and allocation ceiling, sim-swarm" `Quick
+      test_exact_counts_alloc;
     Alcotest.test_case "live swarm kill+restart (DMX_CLUSTER_FULL)" `Slow
       test_live_swarm_kill_restart;
   ]
