@@ -928,8 +928,8 @@ let asymptotics () =
   let module M = E.Make (Dmx_core.Delay_optimal) in
   let word_mb w = float_of_int w *. float_of_int (Sys.word_size / 8) /. (1024.0 *. 1024.0) in
   let failures = ref [] in
-  (* sequential on purpose: each 10^6-site row holds ~10^6 per-site RNG
-     states, and running tiers side by side would multiply peak heap *)
+  (* sequential on purpose: a 10^6-site grid row alone peaks near 0.8 GB,
+     and running rows side by side would multiply peak heap *)
   let rows =
     List.concat_map
       (fun (nominal, fpp_n) ->

@@ -105,7 +105,7 @@ module Make (P : Proto.PROTOCOL) = struct
       { Trace.time = t.caps.now (); site = sh.my_site; kind }
       sh.traces
 
-  let create ~caps ~codec ~self ~n ~shards ~lease ~seed ~pconfig =
+  let create ~caps ~codec ~self ~n ~shards ~lease ~pconfig =
     if shards < 1 then invalid_arg "Host: shards must be >= 1";
     if self < 0 || self >= n then invalid_arg "Host: self out of range";
     let render_buf = Buffer.create 64 in
@@ -154,7 +154,6 @@ module Make (P : Proto.PROTOCOL) = struct
           enter_cs = (fun () -> pending_enter := true);
           set_timer =
             (fun ~delay ~tag -> caps.set_timer ~shard:index ~tag ~delay);
-          rng = Dmx_sim.Rng.create (seed + (index * 7919) + self + 1);
           trace_note = (fun s -> push_trace (Trace.Note s));
           trace_event = push_trace;
           mark_parked =

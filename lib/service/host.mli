@@ -53,7 +53,6 @@ module Make (P : Dmx_sim.Protocol.PROTOCOL) : sig
     n:int ->
     shards:int ->
     lease:Dmx_core.Lease.config ->
-    seed:int ->
     pconfig:(shard:int -> P.config) ->
     t
   (** [self] is this node's id in [0, n). [pconfig] builds each shard's

@@ -208,7 +208,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
           H.create ~caps ~codec ~self:node ~n:cfg.n ~shards:cfg.shards
             ~lease:
               { Dmx_core.Lease.duration = cfg.lease; max_batch = cfg.max_batch }
-            ~seed:(cfg.seed + node) ~pconfig
+            ~pconfig
         in
         (* fresh registry per incarnation, like a restarted daemon *)
         let reg = Dmx_obs.Registry.create () in

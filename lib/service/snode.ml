@@ -20,7 +20,6 @@ type spec = {
   shards : int;
   lease : float;  (* lease duration, seconds *)
   max_batch : int;
-  seed : int;
   epoch : float;
   hb_period : float;
   hb_timeout : float;
@@ -36,12 +35,12 @@ let env_var = "DMX_SERVICE_SPEC"
 let spec_to_string s =
   Printf.sprintf
     "site=%d n=%d ports=%s sup=%d proto=%s quorum=%s shards=%d lease=%h \
-     batch=%d seed=%d epoch=%h hb=%h hbto=%h rto=%h max=%h trans=%s chaos=%s \
+     batch=%d epoch=%h hb=%h hbto=%h rto=%h max=%h trans=%s chaos=%s \
      mport=%d"
     s.site s.n
     (String.concat ","
        (Array.to_list (Array.map string_of_int s.node_ports)))
-    s.supervisor_port s.protocol s.quorum s.shards s.lease s.max_batch s.seed
+    s.supervisor_port s.protocol s.quorum s.shards s.lease s.max_batch
     s.epoch s.hb_period s.hb_timeout s.rto s.max_seconds s.transport
     (Chaos.plan_to_string s.chaos)
     s.metrics_port
@@ -78,7 +77,6 @@ let spec_of_string str =
         shards = geti "shards";
         lease = getf "lease";
         max_batch = geti "batch";
-        seed = geti "seed";
         epoch = getf "epoch";
         hb_period = getf "hb";
         hb_timeout = getf "hbto";
@@ -181,7 +179,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
     let host =
       H.create ~caps ~codec ~self:spec.site ~n:spec.n ~shards:spec.shards
         ~lease:{ Dmx_core.Lease.duration = spec.lease; max_batch = spec.max_batch }
-        ~seed:spec.seed ~pconfig
+        ~pconfig
     in
     (* one registry per daemon: lease cells per shard, protocol cells via
        [attach_obs], transport/chaos probes — served on [metrics_port]

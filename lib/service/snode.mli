@@ -22,7 +22,6 @@ type spec = {
   shards : int;
   lease : float;  (** lease duration, seconds *)
   max_batch : int;  (** leases served per protocol CS tenure *)
-  seed : int;
   epoch : float;  (** cluster time zero (absolute [gettimeofday]) *)
   hb_period : float;
   hb_timeout : float;

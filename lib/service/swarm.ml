@@ -390,7 +390,6 @@ let run (cfg : config) =
         shards = cfg.shards;
         lease = cfg.lease;
         max_batch = cfg.max_batch;
-        seed = cfg.seed;
         epoch;
         hb_period = cfg.hb_period;
         hb_timeout = cfg.hb_timeout;

@@ -18,8 +18,7 @@ type config = {
   lazy_sites : bool;
       (* instantiate a site's protocol state on first touch (its first
          arrival or delivery) instead of all n up front; requires the
-         Oracle detector. Off by default: eager instantiation stays the
-         reference behavior. *)
+         Oracle detector. Off by default. *)
   obs : Dmx_obs.Registry.t option;
       (* metrics registry the run flushes its totals into (events, heap
          ops, executions, messages, per-kind counts). Flushed once at the
@@ -135,8 +134,19 @@ module Make (P : Protocol.PROTOCOL) = struct
     | Detect _ | Detect_recovery _ ->
       false
 
+  (* One site's engine-side record: its protocol context and state and the
+     bookkeeping of its application requests. *)
+  type slot = {
+    ctx : P.message Protocol.ctx;
+    mutable state : P.state option;  (* None until the site's first init *)
+    mutable request_time : float;  (* issue time of outstanding request, or nan *)
+    mutable parked_since : float;  (* start of the site's park window, or nan *)
+    mutable backlog : int;  (* application requests queued behind an active one *)
+  }
+
   type sim = {
     cfg : config;
+    pcfg : P.config;
     q : ev Event_queue.t;
     net : Network.t;
     trace : Trace.t;
@@ -144,9 +154,10 @@ module Make (P : Protocol.PROTOCOL) = struct
     sync_delay : Stats.Summary.t;
     response_time : Stats.Summary.t;
     unavail : Stats.Summary.t;  (* durations of no-live-quorum park windows *)
-    request_time : float array;  (* issue time of outstanding request, or nan *)
-    parked_since : float array;  (* start of the site's park window, or nan *)
-    backlog : int array;  (* application requests queued behind an active one *)
+    mutable slots : slot array;
+        (* Every site starts on one shared vacant slot, whose context has
+           [self = -1] and which is only ever read; a site gets a slot of
+           its own on first touch. *)
     site_execs : int array;  (* post-warmup CS completions per site *)
     detectors : Detector.t array;  (* empty in Oracle mode *)
     times : float array;  (* delivery times of the copies of one send *)
@@ -180,144 +191,163 @@ module Make (P : Protocol.PROTOCOL) = struct
 
   (* Builds one site's context; mutual recursion with event handling is
      broken by routing everything through the queue. Contexts are closures
-     over [sim] only — building one has no side effects, so lazy-site mode
-     can defer it to the site's first touch. *)
-  let make_ctx sim site_rngs self =
+     over [sim] only — building one has no side effects, so a site's slot
+     can be made whenever it is first touched. *)
+  let make_ctx sim self =
     let now () = Event_queue.now sim.q in
-          let send ~dst msg =
-            let now = Event_queue.now sim.q in
-            if dst = self then begin
-              (* Rendering the payload is pure allocation when tracing is
-                 off, and send is the hottest path in the engine — guard
-                 every [asprintf] behind [Trace.enabled]. *)
-              if Trace.enabled sim.trace then
-                Trace.record sim.trace ~time:now ~site:self
-                  (Trace.Send
-                     { dst; msg = Format.asprintf "%a" P.pp_message msg });
-              sched_live sim ~time:now
-                (Deliver { src = self; dst = self; msg; self_msg = true })
-            end
-            else begin
-              let copies =
-                Network.transmit_into sim.net ~src:self ~dst ~now sim.times
-              in
-              if copies = 0 then begin
-                match Network.last_drop sim.net with
-                | `Down ->
-                  if Trace.enabled sim.trace then
-                    Trace.record sim.trace ~time:now ~site:self
-                      (Trace.Note
-                         (Format.asprintf "drop (crashed endpoint) -> %d : %a"
-                            dst P.pp_message msg))
-                | (`Partitioned | `Faulty) as reason ->
-                  (* The send happened and is charged; the network ate it. *)
-                  if warmed sim then begin
-                    sim.messages <- sim.messages + 1;
-                    Stats.Counter.incr sim.counters (P.message_kind msg)
-                  end;
-                  Trace.record sim.trace ~time:now ~site:self
-                    (Trace.Drop
-                       {
-                         dst;
-                         reason =
-                           (match reason with
-                           | `Partitioned -> "partition"
-                           | `Faulty -> "loss");
-                       })
-              end
-              else begin
-                if warmed sim then begin
-                  sim.messages <- sim.messages + 1;
-                  Stats.Counter.incr sim.counters (P.message_kind msg)
-                end;
-                if Trace.enabled sim.trace then
-                  Trace.record sim.trace ~time:now ~site:self
-                    (Trace.Send
-                       { dst; msg = Format.asprintf "%a" P.pp_message msg });
-                let ev = Deliver { src = self; dst; msg; self_msg = false } in
-                sched_live sim ~time:sim.times.(0) ev;
-                if copies = 2 then begin
-                  Trace.record sim.trace ~time:now ~site:self
-                    (Trace.Duplicate { dst });
-                  sched_live sim ~time:sim.times.(1) ev
-                end
-              end
-            end
-          in
-          let enter_cs () =
-            let t = now () in
-            if Float.is_nan sim.request_time.(self) then begin
-              sim.violations <- sim.violations + 1;
-              Trace.record sim.trace ~time:t ~site:self
-                (Trace.Note "VIOLATION: CS entry without outstanding request")
-            end
-            else begin
-              if sim.in_cs >= 0 then begin
-                sim.violations <- sim.violations + 1;
-                Trace.record sim.trace ~time:t ~site:self
-                  (Trace.Note
-                     (Printf.sprintf "VIOLATION: CS entry while site %d is in CS"
-                        sim.in_cs))
-              end;
-              Trace.record sim.trace ~time:t ~site:self Trace.Enter_cs;
-              if warmed sim then begin
-                Stats.Summary.add sim.response_time (t -. sim.request_time.(self));
-                if sim.had_exit && sim.waiting_at_exit then
-                  Stats.Summary.add sim.sync_delay (t -. sim.last_exit)
-              end;
-              sim.request_time.(self) <- Float.nan;
-              sim.outstanding <- sim.outstanding - 1;
-              sim.in_cs <- self;
-              sched_live sim
-                ~time:(t +. sim.cfg.cs_duration)
-                (Cs_exit { site = self })
-            end
-          in
-          let set_timer ~delay ~tag =
-            sched_live sim
-              ~time:(now () +. delay)
-              (Timer { site = self; tag })
-          in
-          let trace_note s =
-            Trace.record sim.trace ~time:(now ()) ~site:self (Trace.Note s)
-          in
-          let trace_event k =
-            Trace.record sim.trace ~time:(now ()) ~site:self k
-          in
-          let mark_parked parked =
-            let t = now () in
-            if parked then begin
-              if Float.is_nan sim.parked_since.(self) then
-                sim.parked_since.(self) <- t
-            end
-            else if not (Float.is_nan sim.parked_since.(self)) then begin
-              Stats.Summary.add sim.unavail (t -. sim.parked_since.(self));
-              sim.parked_since.(self) <- Float.nan
-            end
-          in
-          {
-            Protocol.self;
-            n = sim.cfg.n;
-            now;
-            send;
-            enter_cs;
-            set_timer;
-    rng = site_rngs.(self);
+    let send ~dst msg =
+      let now = Event_queue.now sim.q in
+      if dst = self then begin
+        (* Rendering the payload is pure allocation when tracing is
+           off, and send is the hottest path in the engine — guard
+           every [asprintf] behind [Trace.enabled]. *)
+        if Trace.enabled sim.trace then
+          Trace.record sim.trace ~time:now ~site:self
+            (Trace.Send { dst; msg = Format.asprintf "%a" P.pp_message msg });
+        sched_live sim ~time:now
+          (Deliver { src = self; dst = self; msg; self_msg = true })
+      end
+      else begin
+        let copies =
+          Network.transmit_into sim.net ~src:self ~dst ~now sim.times
+        in
+        if copies = 0 then begin
+          match Network.last_drop sim.net with
+          | `Down ->
+            if Trace.enabled sim.trace then
+              Trace.record sim.trace ~time:now ~site:self
+                (Trace.Note
+                   (Format.asprintf "drop (crashed endpoint) -> %d : %a" dst
+                      P.pp_message msg))
+          | (`Partitioned | `Faulty) as reason ->
+            (* The send happened and is charged; the network ate it. *)
+            if warmed sim then begin
+              sim.messages <- sim.messages + 1;
+              Stats.Counter.incr sim.counters (P.message_kind msg)
+            end;
+            Trace.record sim.trace ~time:now ~site:self
+              (Trace.Drop
+                 {
+                   dst;
+                   reason =
+                     (match reason with
+                     | `Partitioned -> "partition"
+                     | `Faulty -> "loss");
+                 })
+        end
+        else begin
+          if warmed sim then begin
+            sim.messages <- sim.messages + 1;
+            Stats.Counter.incr sim.counters (P.message_kind msg)
+          end;
+          if Trace.enabled sim.trace then
+            Trace.record sim.trace ~time:now ~site:self
+              (Trace.Send { dst; msg = Format.asprintf "%a" P.pp_message msg });
+          let ev = Deliver { src = self; dst; msg; self_msg = false } in
+          sched_live sim ~time:sim.times.(0) ev;
+          if copies = 2 then begin
+            Trace.record sim.trace ~time:now ~site:self
+              (Trace.Duplicate { dst });
+            sched_live sim ~time:sim.times.(1) ev
+          end
+        end
+      end
+    in
+    let enter_cs () =
+      let t = now () in
+      let s = sim.slots.(self) in
+      if Float.is_nan s.request_time then begin
+        sim.violations <- sim.violations + 1;
+        Trace.record sim.trace ~time:t ~site:self
+          (Trace.Note "VIOLATION: CS entry without outstanding request")
+      end
+      else begin
+        if sim.in_cs >= 0 then begin
+          sim.violations <- sim.violations + 1;
+          Trace.record sim.trace ~time:t ~site:self
+            (Trace.Note
+               (Printf.sprintf "VIOLATION: CS entry while site %d is in CS"
+                  sim.in_cs))
+        end;
+        Trace.record sim.trace ~time:t ~site:self Trace.Enter_cs;
+        if warmed sim then begin
+          Stats.Summary.add sim.response_time (t -. s.request_time);
+          if sim.had_exit && sim.waiting_at_exit then
+            Stats.Summary.add sim.sync_delay (t -. sim.last_exit)
+        end;
+        s.request_time <- Float.nan;
+        sim.outstanding <- sim.outstanding - 1;
+        sim.in_cs <- self;
+        sched_live sim ~time:(t +. sim.cfg.cs_duration) (Cs_exit { site = self })
+      end
+    in
+    let set_timer ~delay ~tag =
+      sched_live sim ~time:(now () +. delay) (Timer { site = self; tag })
+    in
+    let trace_note s =
+      Trace.record sim.trace ~time:(now ()) ~site:self (Trace.Note s)
+    in
+    let trace_event k = Trace.record sim.trace ~time:(now ()) ~site:self k in
+    let mark_parked parked =
+      let t = now () in
+      let s = sim.slots.(self) in
+      if parked then begin
+        if Float.is_nan s.parked_since then s.parked_since <- t
+      end
+      else if not (Float.is_nan s.parked_since) then begin
+        Stats.Summary.add sim.unavail (t -. s.parked_since);
+        s.parked_since <- Float.nan
+      end
+    in
+    {
+      Protocol.self;
+      n = sim.cfg.n;
+      now;
+      send;
+      enter_cs;
+      set_timer;
       trace_note;
       trace_event;
       mark_parked;
     }
 
-  (* [ctx_of]/[state_of] below are accessors that instantiate on demand in
-     lazy-site mode; in the default eager mode everything already exists. *)
+  let new_slot sim site =
+    {
+      ctx = make_ctx sim site;
+      state = None;
+      request_time = Float.nan;
+      parked_since = Float.nan;
+      backlog = 0;
+    }
 
-  let issue_request sim ctx_of state_of site =
-    sim.request_time.(site) <- Event_queue.now sim.q;
+  (* [site]'s own slot, made on first touch. Making one only builds the
+     context, so a touch is invisible to the run: the protocol state waits
+     for [state_of]. *)
+  let slot_of sim site =
+    let s = sim.slots.(site) in
+    if s.ctx.Protocol.self = site then s
+    else begin
+      let s = new_slot sim site in
+      sim.slots.(site) <- s;
+      s
+    end
+
+  let state_of sim s =
+    match s.state with
+    | Some st -> st
+    | None ->
+      let st = P.init s.ctx sim.pcfg in
+      s.state <- Some st;
+      st
+
+  let issue_request sim site =
+    let s = slot_of sim site in
+    s.request_time <- Event_queue.now sim.q;
     sim.outstanding <- sim.outstanding + 1;
     Trace.record sim.trace ~time:(Event_queue.now sim.q) ~site Trace.Request;
-    P.request_cs (ctx_of site) (state_of site)
+    P.request_cs s.ctx (state_of sim s)
 
-  let handle_arrival sim ctx_of state_of site =
+  let handle_arrival sim site =
     (* Open-loop sources immediately schedule the site's next arrival. *)
     (match sim.cfg.workload with
     | Workload.Poisson _ | Workload.Open_loop _ ->
@@ -330,12 +360,15 @@ module Make (P : Protocol.PROTOCOL) = struct
       | Some _ | None -> ())
     | Workload.Saturated _ | Workload.Think _ | Workload.Burst _ -> ());
     if Network.is_up sim.net site then begin
-      if Float.is_nan sim.request_time.(site) && sim.in_cs <> site then
-        issue_request sim ctx_of state_of site
-      else sim.backlog.(site) <- sim.backlog.(site) + 1
+      if Float.is_nan sim.slots.(site).request_time && sim.in_cs <> site then
+        issue_request sim site
+      else begin
+        let s = slot_of sim site in
+        s.backlog <- s.backlog + 1
+      end
     end
 
-  let handle_cs_exit sim ctx_of state_of site =
+  let handle_cs_exit sim site =
     if sim.in_cs = site then sim.in_cs <- -1;
     Trace.record sim.trace ~time:(Event_queue.now sim.q) ~site Trace.Exit_cs;
     sim.executions <- sim.executions + 1;
@@ -352,14 +385,15 @@ module Make (P : Protocol.PROTOCOL) = struct
     sim.had_exit <- true;
     sim.last_exit <- Event_queue.now sim.q;
     sim.waiting_at_exit <- sim.outstanding > 0;
-    P.release_cs (ctx_of site) (state_of site);
+    let s = slot_of sim site in
+    P.release_cs s.ctx (state_of sim s);
     if sim.executions >= target sim then sim.stop <- true
     else begin
       (* Application layer: serve the local backlog, or re-request in the
          closed-loop (saturated) workload. *)
-      if sim.backlog.(site) > 0 then begin
-        sim.backlog.(site) <- sim.backlog.(site) - 1;
-        issue_request sim ctx_of state_of site
+      if s.backlog > 0 then begin
+        s.backlog <- s.backlog - 1;
+        issue_request sim site
       end
       else if Workload.is_closed_loop sim.cfg.workload then
         match
@@ -370,10 +404,14 @@ module Make (P : Protocol.PROTOCOL) = struct
         | None -> ()
     end
 
+  (* Reads of an untouched site land on the vacant slot, whose fields all
+     read "nothing pending"; the writes below happen only when a field says
+     otherwise, so the vacant slot is never written. *)
   let close_park_window sim site ~at =
-    if not (Float.is_nan sim.parked_since.(site)) then begin
-      Stats.Summary.add sim.unavail (at -. sim.parked_since.(site));
-      sim.parked_since.(site) <- Float.nan
+    let s = sim.slots.(site) in
+    if not (Float.is_nan s.parked_since) then begin
+      Stats.Summary.add sim.unavail (at -. s.parked_since);
+      s.parked_since <- Float.nan
     end
 
   let handle_crash sim site =
@@ -393,12 +431,13 @@ module Make (P : Protocol.PROTOCOL) = struct
     in
     sim.live_events <- sim.live_events - dropped;
     if sim.in_cs = site then sim.in_cs <- -1;
-    if not (Float.is_nan sim.request_time.(site)) then begin
-      sim.request_time.(site) <- Float.nan;
+    let s = sim.slots.(site) in
+    if not (Float.is_nan s.request_time) then begin
+      s.request_time <- Float.nan;
       sim.outstanding <- sim.outstanding - 1
     end;
     close_park_window sim site ~at:(Event_queue.now sim.q);
-    sim.backlog.(site) <- 0;
+    if s.backlog > 0 then s.backlog <- 0;
     match sim.cfg.detector with
     | Oracle d ->
       List.iter
@@ -426,7 +465,10 @@ module Make (P : Protocol.PROTOCOL) = struct
     | _ -> ());
     let master_rng = Rng.create cfg.seed in
     let net_rng = Rng.split master_rng in
-    let site_rngs = Array.init cfg.n (fun _ -> Rng.split master_rng) in
+    (* n draws stand where a stream per site was split off, so that the
+       workload and fault streams, and with them every recorded seed,
+       keep their values. *)
+    Rng.skip master_rng cfg.n;
     let wl_rng = Rng.split master_rng in
     (* Split last so fault-free components see the exact same streams as
        before faults existed. *)
@@ -440,6 +482,7 @@ module Make (P : Protocol.PROTOCOL) = struct
     let sim =
       {
         cfg;
+        pcfg;
         q = Event_queue.create ();
         net =
           Network.create
@@ -450,9 +493,7 @@ module Make (P : Protocol.PROTOCOL) = struct
         sync_delay = Stats.Summary.create ();
         response_time = Stats.Summary.create ();
         unavail = Stats.Summary.create ();
-        request_time = Array.make cfg.n Float.nan;
-        parked_since = Array.make cfg.n Float.nan;
-        backlog = Array.make cfg.n 0;
+        slots = [||];
         site_execs = Array.make cfg.n 0;
         times = Array.make 2 0.0;
         detectors =
@@ -483,34 +524,12 @@ module Make (P : Protocol.PROTOCOL) = struct
         stop = false;
       }
     in
-    let ctxs = Array.make cfg.n None in
-    let states = Array.make cfg.n None in
-    let ctx_of site =
-      match ctxs.(site) with
-      | Some c -> c
-      | None ->
-        let c = make_ctx sim site_rngs site in
-        ctxs.(site) <- Some c;
-        c
-    in
-    let state_of site =
-      match states.(site) with
-      | Some st -> st
-      | None ->
-        let st = P.init (ctx_of site) pcfg in
-        states.(site) <- Some st;
-        st
-    in
-    if not cfg.lazy_sites then begin
-      (* Reference order: every context first, then every init (init may
-         send messages; context creation never does). *)
+    sim.slots <- Array.make cfg.n (new_slot sim (-1));
+    if not cfg.lazy_sites then
+      (* Eager sites: touch every site up front, in site order. *)
       for site = 0 to cfg.n - 1 do
-        ignore (ctx_of site)
+        ignore (state_of sim (slot_of sim site))
       done;
-      for site = 0 to cfg.n - 1 do
-        ignore (state_of site)
-      done
-    end;
     List.iter
       (fun (time, site) ->
         sched_live sim ~time (Arrival { site }))
@@ -548,7 +567,8 @@ module Make (P : Protocol.PROTOCOL) = struct
             ~time:(Event_queue.now sim.q)
             ~site:dst
             (Trace.Receive { src; msg = Format.asprintf "%a" P.pp_message msg });
-        P.on_message (ctx_of dst) (state_of dst) ~src msg
+        let s = slot_of sim dst in
+        P.on_message s.ctx (state_of sim s) ~src msg
       end
     in
     let handle_heartbeat_tick site time =
@@ -573,7 +593,8 @@ module Make (P : Protocol.PROTOCOL) = struct
             if Network.is_up sim.net failed then
               sim.false_suspicions <- sim.false_suspicions + 1;
             Trace.record sim.trace ~time ~site (Trace.Suspect failed);
-            P.on_failure (ctx_of site) (state_of site) failed)
+            let s = slot_of sim site in
+            P.on_failure s.ctx (state_of sim s) failed)
           newly;
         Event_queue.schedule sim.q
           ~time:(time +. c.Detector.period)
@@ -586,7 +607,8 @@ module Make (P : Protocol.PROTOCOL) = struct
         let trust = Detector.heartbeat sim.detectors.(dst) ~src ~now:time in
         if trust then begin
           Trace.record sim.trace ~time ~site:dst (Trace.Trust src);
-          P.on_recovery (ctx_of dst) (state_of dst) src
+          let s = slot_of sim dst in
+          P.on_recovery s.ctx (state_of sim s) src
         end
       end
     in
@@ -627,10 +649,11 @@ module Make (P : Protocol.PROTOCOL) = struct
             | Timer { site; tag } ->
               if Network.is_up sim.net site then begin
                 Trace.record sim.trace ~time ~site (Trace.Timer tag);
-                P.on_timer (ctx_of site) (state_of site) tag
+                let s = slot_of sim site in
+                P.on_timer s.ctx (state_of sim s) tag
               end
-            | Arrival { site } -> handle_arrival sim ctx_of state_of site
-            | Cs_exit { site } -> handle_cs_exit sim ctx_of state_of site
+            | Arrival { site } -> handle_arrival sim site
+            | Cs_exit { site } -> handle_cs_exit sim site
             | Crash_ev { site } -> handle_crash sim site
             | Recover_ev { site } ->
               if not (Network.is_up sim.net site) then begin
@@ -638,7 +661,8 @@ module Make (P : Protocol.PROTOCOL) = struct
                 Trace.record sim.trace ~time ~site Trace.Recover;
                 (* fail-stop recovery: the site rejoins with FRESH protocol
                    state (its old volatile state died with it) *)
-                states.(site) <- Some (P.init (ctx_of site) pcfg);
+                let s = slot_of sim site in
+                s.state <- Some (P.init s.ctx pcfg);
                 (* Restart its workload source, which died with it. Under the
                    oracle the first arrival waits until every survivor has
                    processed the recovery notification — otherwise its
@@ -677,11 +701,15 @@ module Make (P : Protocol.PROTOCOL) = struct
                     (Heartbeat_tick { site })
               end
             | Detect { observer; failed } ->
-              if Network.is_up sim.net observer then
-                P.on_failure (ctx_of observer) (state_of observer) failed
+              if Network.is_up sim.net observer then begin
+                let s = slot_of sim observer in
+                P.on_failure s.ctx (state_of sim s) failed
+              end
             | Detect_recovery { observer; recovered } ->
-              if Network.is_up sim.net observer then
-                P.on_recovery (ctx_of observer) (state_of observer) recovered
+              if Network.is_up sim.net observer then begin
+                let s = slot_of sim observer in
+                P.on_recovery s.ctx (state_of sim s) recovered
+              end
             | Heartbeat_tick { site } -> handle_heartbeat_tick site time
             | Heartbeat_arrive { src; dst } -> handle_heartbeat_arrive src dst time
             | Partition_edge { heal } ->
@@ -716,8 +744,8 @@ module Make (P : Protocol.PROTOCOL) = struct
     (match inspect with
     | Some f ->
       Array.iteri
-        (fun site st -> match st with Some st -> f site st | None -> ())
-        states
+        (fun site s -> Option.iter (f site) s.state)
+        sim.slots
     | None -> ());
     let sim_time = Event_queue.now sim.q in
     for site = 0 to cfg.n - 1 do
@@ -730,19 +758,21 @@ module Make (P : Protocol.PROTOCOL) = struct
     let executions = max 0 (sim.executions - cfg.warmup) in
     let window = sim_time -. sim.warmup_time in
     (* Jain's fairness index over sites that completed at least one CS:
-       (sum x)^2 / (n * sum x^2); 1.0 = perfectly even service. *)
+       (sum x)^2 / (n * sum x^2); 1.0 = perfectly even service. Summed
+       left to right in site order. *)
     let fairness =
-      let xs =
-        Array.to_list sim.site_execs
-        |> List.filter (fun x -> x > 0)
-        |> List.map float_of_int
-      in
-      match xs with
-      | [] -> 1.0
-      | xs ->
-        let sum = List.fold_left ( +. ) 0.0 xs in
-        let sq = List.fold_left (fun a x -> a +. (x *. x)) 0.0 xs in
-        sum *. sum /. (float_of_int (List.length xs) *. sq)
+      let count = ref 0 and sum = ref 0.0 and sq = ref 0.0 in
+      for site = 0 to cfg.n - 1 do
+        let x = sim.site_execs.(site) in
+        if x > 0 then begin
+          let x = float_of_int x in
+          incr count;
+          sum := !sum +. x;
+          sq := !sq +. (x *. x)
+        end
+      done;
+      if !count = 0 then 1.0
+      else !sum *. !sum /. (float_of_int !count *. !sq)
     in
     {
       protocol = P.name;
@@ -764,7 +794,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       violations = sim.violations;
       deadlocked;
       pending_at_end = sim.outstanding;
-      per_site_executions = Array.copy sim.site_execs;
+      per_site_executions = sim.site_execs;
       fairness;
       retransmissions = Stats.Counter.get sim.counters "retx";
       acks = Stats.Counter.get sim.counters "ack";

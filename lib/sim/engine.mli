@@ -59,8 +59,10 @@ type config = {
       (** instantiate a site's context and protocol state only when an event
           first touches it — the huge-N mode. Requires the [Oracle] detector
           (heartbeats would touch all N sites) and a workload whose active
-          set is small. Off, every site is built up front in the reference
-          order, so existing seeds reproduce bit-identically. *)
+          set is small. What stays O(N) is one slot pointer, one exec
+          counter and one up byte per site. Off, every site is touched up
+          front in site order, through the same storage. For a protocol whose
+          [init] sends nothing the two modes yield the same report. *)
   obs : Dmx_obs.Registry.t option;
       (** metrics registry the run flushes into when the run ends:
           [engine.events], [engine.heap.push]/[pop]/[peak],

@@ -66,7 +66,6 @@ module Make (P : CHECKABLE) = struct
       set_timer =
         (fun ~delay:_ ~tag:_ ->
           invalid_arg "Model_check: protocols with timers are not supported");
-      rng = Rng.create 0;
       trace_note = ignore;
       trace_event = ignore;
       mark_parked = ignore;

@@ -15,7 +15,7 @@
     hashing works); a [max_states] bound guards runaway exploration.
 
     Protocols must provide a deep-copy (executions branch), must not use
-    timers, and must be deterministic (the per-site RNG is fixed). *)
+    timers, and must be deterministic. *)
 
 module type CHECKABLE = sig
   include Protocol.PROTOCOL

@@ -52,7 +52,7 @@ type t = {
   (* Each partition with its group index per site; sites not listed in
      any group share the implicit "rest" group. *)
   parts : (partition * int array) list;
-  up : bool array;
+  up : Bytes.t;  (* one byte per site: '\001' up, '\000' crashed *)
   mutable keys : int array;
   mutable marks : float array;
   mutable used : int;  (* occupied slots *)
@@ -112,7 +112,7 @@ let create ?channels:(_ : channel_repr option) ?(faults = no_faults)
     faults;
     fault_rng;
     parts;
-    up = Array.make n true;
+    up = Bytes.make n '\001';
     keys = Array.make 64 (-1);
     marks = Array.make 64 0.0;
     used = 0;
@@ -133,6 +133,9 @@ let sample t =
 let check_site t i name =
   if i < 0 || i >= t.n then
     invalid_arg (Printf.sprintf "Network.%s: site %d out of range" name i)
+
+(* Every caller has range-checked [i]. *)
+let up t i = Bytes.unsafe_get t.up i <> '\000'
 
 (* Top-level recursions rather than closures or folds, so the per-send
    checks allocate nothing when there is nothing to check. *)
@@ -190,7 +193,7 @@ let reserve t =
 let transmit_into t ~src ~dst ~now times =
   check_site t src "transmit";
   check_site t dst "transmit";
-  if not (t.up.(src) && t.up.(dst)) then begin
+  if not (up t src && up t dst) then begin
     t.drop <- `Down;
     0
   end
@@ -248,11 +251,11 @@ let delivery_time t ~src ~dst ~now =
 
 let crash t i =
   check_site t i "crash";
-  t.up.(i) <- false
+  Bytes.set t.up i '\000'
 
 let recover t i =
   check_site t i "recover";
-  t.up.(i) <- true;
+  Bytes.set t.up i '\001';
   (* Channels restart empty: reset FIFO watermarks touching this site. *)
   Array.iteri
     (fun j k ->
@@ -261,8 +264,8 @@ let recover t i =
 
 let is_up t i =
   check_site t i "is_up";
-  t.up.(i)
+  up t i
 
 let up_sites t =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (if t.up.(i) then i :: acc else acc) in
+  let rec loop i acc = if i < 0 then acc else loop (i - 1) (if up t i then i :: acc else acc) in
   loop (t.n - 1) []

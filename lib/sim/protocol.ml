@@ -23,7 +23,6 @@ type 'msg ctx = {
       (** The protocol has collected all permissions; the engine checks the
           mutual exclusion invariant and starts the CS. *)
   set_timer : delay:float -> tag:int -> unit;
-  rng : Rng.t;  (** per-site deterministic stream *)
   trace_note : string -> unit;
   trace_event : Trace.kind -> unit;
       (** Structured trace hook for the semantic permission events

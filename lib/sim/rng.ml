@@ -25,16 +25,28 @@ let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let int64 t =
+(* The xoshiro256++ state update, on unboxed locals: the loop allocates
+   nothing, and only the final write-back boxes. *)
+let skip t k =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
+  for _ = 1 to k do
+    let tmp = shift_left !s1 17 in
+    s2 := logxor !s2 !s0;
+    s3 := logxor !s3 !s1;
+    s1 := logxor !s1 !s2;
+    s0 := logxor !s0 !s3;
+    s2 := logxor !s2 tmp;
+    s3 := rotl !s3 45
+  done;
+  t.s0 <- !s0;
+  t.s1 <- !s1;
+  t.s2 <- !s2;
+  t.s3 <- !s3
+
+let int64 t =
+  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
+  skip t 1;
   result
 
 let split t =

@@ -3,10 +3,10 @@
     A from-scratch implementation of the xoshiro256++ generator seeded
     through splitmix64. Simulations must be bit-reproducible across runs,
     machines and OCaml releases, so we do not rely on [Stdlib.Random]
-    (whose algorithm changed between OCaml versions). Each simulated site
-    gets its own independent stream derived from the master seed, so adding
-    randomness consumption at one site never perturbs another site's
-    stream. *)
+    (whose algorithm changed between OCaml versions). Each consumer
+    (network delays, the workload, fault draws) gets its own independent
+    stream derived from the master seed, so adding randomness consumption
+    at one consumer never perturbs another's stream. *)
 
 type t
 (** Mutable generator state. *)
@@ -17,7 +17,13 @@ val create : int -> t
 
 val split : t -> t
 (** [split t] derives a new generator whose future output is independent of
-    [t]'s. Used to give each site and each workload source its own stream. *)
+    [t]'s. Used to give each consumer its own stream. *)
+
+val skip : t -> int -> unit
+(** [skip t k] advances [t] past [k] outputs: afterwards [t] is in the
+    state [k] calls of {!int64} (or [k] calls of {!split}) would have left
+    it in. Costs [k] state updates and allocates nothing per step; a
+    non-positive [k] leaves [t] unchanged. *)
 
 val copy : t -> t
 (** [copy t] duplicates the current state (same future stream). *)

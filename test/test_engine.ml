@@ -447,6 +447,103 @@ let test_exact_counts_n81 () =
     (Printf.sprintf "minor words per CS %.0f under 3000" words)
     true (words < 3000.0)
 
+(* Lazy and eager sites are one storage path: a lazily built site must
+   behave as if it had been built up front. Every report field is
+   compared, floats bit for bit. *)
+let report_fingerprint (r : E.report) =
+  let module S = Dmx_sim.Stats.Summary in
+  let summary s =
+    if S.count s = 0 then "-"
+    else
+      Printf.sprintf "%d/%h/%h/%h/%h" (S.count s) (S.total s) (S.min s)
+        (S.max s) (S.percentile s 99.0)
+  in
+  Printf.sprintf
+    "execs=%d msgs=%d kinds=%s sync=%s resp=%s unavail=%s tput=%h time=%h \
+     viol=%d dead=%b pending=%d fair=%h"
+    r.executions r.total_messages
+    (String.concat ";"
+       (List.map (fun (k, v) -> Printf.sprintf "%s:%d" k v) r.messages_by_kind))
+    (summary r.sync_delay) (summary r.response_time) (summary r.unavailability)
+    r.throughput r.sim_time r.violations r.deadlocked r.pending_at_end
+    r.fairness
+
+let test_lazy_equals_eager () =
+  let module R = Dmx_baselines.Runner in
+  let module B = Dmx_quorum.Builder in
+  let cfg n =
+    {
+      (E.default ~n) with
+      E.seed = 2024;
+      workload = W.Open_loop { active = 32; rate_per_site = 0.01 };
+      max_executions = 300;
+      warmup = 10;
+    }
+  in
+  List.iter
+    (fun (label, (runner : R.t), (cfg : E.config)) ->
+      let eager = runner.R.run cfg in
+      let lazy_ = runner.R.run { cfg with E.lazy_sites = true } in
+      Alcotest.(check int) (label ^ ": executions") 300 eager.E.executions;
+      Alcotest.(check string) (label ^ ": report") (report_fingerprint eager)
+        (report_fingerprint lazy_);
+      Alcotest.(check (array int))
+        (label ^ ": per-site executions")
+        eager.E.per_site_executions lazy_.E.per_site_executions)
+    [
+      ("tree", R.delay_optimal ~kind:B.Tree ~n:1023 (), cfg 1023);
+      ("grid", R.delay_optimal ~kind:B.Grid ~n:1024 (), cfg 1024);
+      ( "tree, crash and recover",
+        R.ft_delay_optimal ~n:1023 (),
+        { (cfg 1023) with E.crashes = [ (40.0, 5) ]; recoveries = [ (120.0, 5) ] }
+      );
+    ]
+
+(* Set-up at N = 10^6 follows the touched sites: a lazy tree run of 50 CS
+   under an open loop. Its executions, events and messages are functions
+   of the seed and are pinned; the words the run allocates are held under
+   a ceiling. The run allocates about 2.3M words on OCaml 5.1, 2M of them
+   the slot pointer and the exec counter of each site. Splitting a stream
+   per site costs 47M more (17M of them kept), and five per-site arrays
+   of options and floats 5M; the ceiling of 6M fails a change that brings
+   back either. *)
+let test_huge_n_setup_allocation () =
+  let module Reg = Dmx_obs.Registry in
+  let module B = Dmx_quorum.Builder in
+  let n = 1_000_000 and execs = 50 in
+  let pcfg =
+    Dmx_core.Delay_optimal.config_of_assignment (B.assignment B.Tree ~n)
+  in
+  let reg = Reg.create () in
+  let cfg =
+    {
+      (E.default ~n) with
+      E.seed = 4711;
+      cs_duration = 1.0;
+      workload = W.Open_loop { active = 64; rate_per_site = 0.004 };
+      max_executions = execs;
+      warmup = 0;
+      lazy_sites = true;
+      obs = Some reg;
+    }
+  in
+  let allocated () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  Gc.full_major ();
+  let w0 = allocated () in
+  let r = DO_engine.run cfg pcfg in
+  let words = allocated () -. w0 in
+  let events = Dmx_obs.Snapshot.get (Reg.snapshot reg) "engine.events" in
+  Alcotest.(check int) "executions" execs r.E.executions;
+  Alcotest.(check int) "violations" 0 r.E.violations;
+  Alcotest.(check int) "events" 3_341 events;
+  Alcotest.(check int) "messages" 3_093 r.E.total_messages;
+  Alcotest.(check bool)
+    (Printf.sprintf "words allocated %.0f under 6M" words)
+    true (words < 6.0e6)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -465,4 +562,6 @@ let suite =
       ("bad config rejected", test_bad_config_rejected);
       ("pinned channel fingerprint", test_channel_fingerprint);
       ("exact counts and allocation ceiling, n=81", test_exact_counts_n81);
+      ("lazy sites equal eager sites", test_lazy_equals_eager);
+      ("huge-N set-up allocation ceiling, N=10^6", test_huge_n_setup_allocation);
     ]

@@ -172,6 +172,39 @@ let qcheck_int_in_bounds =
       let x = Rng.int r bound in
       x >= 0 && x < bound)
 
+(* [skip t k] must leave [t] where [k] draws leave it, and where the
+   engine's old set-up loop, one [split] per site, left its master
+   stream. Eight following outputs stand in for the opaque state. *)
+let qcheck_skip_matches_draws =
+  QCheck.Test.make ~name:"skip k = k draws = k splits" ~count:200
+    QCheck.(pair small_int (int_range 0 5_000))
+    (fun (seed, k) ->
+      let skipped = Rng.create seed in
+      Rng.skip skipped k;
+      let drawn = Rng.create seed in
+      for _ = 1 to k do
+        ignore (Rng.int64 drawn)
+      done;
+      let split = Rng.create seed in
+      for _ = 1 to k do
+        ignore (Rng.split split)
+      done;
+      List.for_all
+        (fun _ ->
+          let x = Rng.int64 skipped in
+          Int64.equal x (Rng.int64 drawn) && Int64.equal x (Rng.int64 split))
+        (List.init 8 Fun.id))
+
+let test_skip_allocates_nothing_per_step () =
+  let r = Rng.create 5 in
+  Rng.skip r 1;
+  let w0 = Gc.minor_words () in
+  Rng.skip r 1_000_000;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 10^6 steps" words)
+    true (words < 100.0)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -191,5 +224,7 @@ let suite =
       ("pick on empty raises", test_pick_empty);
       ("chi-square uniformity", test_chi_square_uniformity);
       ("split streams uncorrelated", test_split_streams_uncorrelated);
+      ("skip allocates nothing per step", test_skip_allocates_nothing_per_step);
     ]
-  @ [ QCheck_alcotest.to_alcotest qcheck_int_in_bounds ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ qcheck_int_in_bounds; qcheck_skip_matches_draws ]

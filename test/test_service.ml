@@ -78,7 +78,6 @@ let make_host ?(n = 3) ?(shards = 2) ?(lease = 1.0) ?(max_batch = 8) ~self ()
       ~codec:{ Host.encode = Wire.encode_message; decode = Wire.decode_message }
       ~self ~n ~shards
       ~lease:{ Dmx_core.Lease.duration = lease; max_batch }
-      ~seed:1
       ~pconfig:(fun ~shard:_ ->
         Dmx_core.Delay_optimal.config (B.req_sets B.Star ~n))
   in
